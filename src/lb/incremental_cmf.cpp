@@ -22,7 +22,7 @@ void IncrementalCmf::audit_consistency() const {
       weights_match =
           weights_match && std::abs(weights_[i] - expect) <= 1e-12;
       sum += weights_[i];
-      positive += weights_[i] > 0.0 ? 1 : 0;
+      positive += weights_[i] > 0.0 ? 1u : 0u;
       max_load = std::max(max_load, loads_[i]);
     }
     TLB_INVARIANT(weights_match,

@@ -55,8 +55,7 @@ ColorChunk& PicApp::chunk(ColorId color) {
 }
 
 ColorChunk const& PicApp::chunk(ColorId color) const {
-  auto* payload =
-      const_cast<rt::ObjectStore&>(store_).find(store_.owner(color), color);
+  auto const* payload = store_.find(store_.owner(color), color);
   TLB_ASSERT(payload != nullptr);
   return *static_cast<ColorChunk const*>(payload);
 }

@@ -1,13 +1,24 @@
 #include "runtime/object_store.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 
 #include "obs/tracer.hpp"
-#include "support/assert.hpp"
 #include "support/check.hpp"
 
 namespace tlb::rt {
+
+namespace {
+
+/// First slot of an id-sorted table whose id is not below `id`.
+template <class Table> auto lower_bound_id(Table& table, TaskId id) {
+  return std::lower_bound(
+      table.begin(), table.end(), id,
+      [](auto const& slot, TaskId key) { return slot.id < key; });
+}
+
+} // namespace
 
 ObjectStore::ObjectStore(RankId num_ranks)
     : local_(static_cast<std::size_t>(num_ranks)) {
@@ -17,44 +28,103 @@ ObjectStore::ObjectStore(RankId num_ranks)
 void ObjectStore::create(RankId rank, TaskId id,
                          std::unique_ptr<Migratable> payload) {
   TLB_EXPECTS(rank >= 0 && rank < num_ranks());
+  TLB_EXPECTS(id >= 0);
   TLB_EXPECTS(payload != nullptr);
-  auto const [it, inserted] = directory_.emplace(id, rank);
-  (void)it;
-  TLB_EXPECTS(inserted);
-  local_[static_cast<std::size_t>(rank)].emplace(id, std::move(payload));
-}
-
-RankId ObjectStore::owner(TaskId id) const {
-  auto const it = directory_.find(id);
-  return it == directory_.end() ? invalid_rank : it->second;
-}
-
-Migratable* ObjectStore::find(RankId rank, TaskId id) {
-  TLB_EXPECTS(rank >= 0 && rank < num_ranks());
-  auto& map = local_[static_cast<std::size_t>(rank)];
-  auto const it = map.find(id);
-  return it == map.end() ? nullptr : it->second.get();
-}
-
-Migratable const* ObjectStore::find(RankId rank, TaskId id) const {
-  TLB_EXPECTS(rank >= 0 && rank < num_ranks());
-  auto const& map = local_[static_cast<std::size_t>(rank)];
-  auto const it = map.find(id);
-  return it == map.end() ? nullptr : it->second.get();
+  auto const index = static_cast<std::size_t>(id);
+  if (index >= directory_.size()) {
+    directory_.resize(index + 1);
+  }
+  TLB_EXPECTS(directory_[index].owner == invalid_rank);
+  directory_[index] = {place(rank, id, std::move(payload)), rank};
+  ++tasks_;
 }
 
 std::vector<TaskId> ObjectStore::tasks_on(RankId rank) const {
   TLB_EXPECTS(rank >= 0 && rank < num_ranks());
+  Table const& table = local_[static_cast<std::size_t>(rank)];
   std::vector<TaskId> out;
-  auto const& map = local_[static_cast<std::size_t>(rank)];
-  out.reserve(map.size());
-  for (auto const& [id, payload] : map) {
-    out.push_back(id);
+  out.reserve(table.size());
+  for (Resident const& slot : table) {
+    out.push_back(slot.id);
   }
   return out;
 }
 
-std::size_t ObjectStore::total_tasks() const { return directory_.size(); }
+std::vector<ObjectStore::Departure>
+ObjectStore::depart(std::vector<Migration> const& migrations) {
+  std::vector<Departure> out;
+  out.reserve(migrations.size());
+  std::vector<RankId> origins;
+  origins.reserve(migrations.size());
+  for (Migration const& m : migrations) {
+    TLB_EXPECTS(m.to >= 0 && m.to < num_ranks());
+    RankId const current = owner(m.task);
+    TLB_EXPECTS(current != invalid_rank);
+    TLB_EXPECTS(current == m.from);
+    if (m.from == m.to) {
+      continue;
+    }
+    Table& table = local_[static_cast<std::size_t>(m.from)];
+    auto const it = lower_bound_id(table, m.task);
+    TLB_ASSERT(it != table.end() && it->id == m.task);
+    // Already taken: the batch moves this task twice.
+    TLB_EXPECTS(it->payload != nullptr);
+    Migratable* const object = it->payload.get();
+    out.push_back(
+        {m, object->wire_bytes(),
+         std::make_shared<std::unique_ptr<Migratable>>(std::move(it->payload)),
+         object});
+    entry(m.task).payload = nullptr;
+    origins.push_back(m.from);
+  }
+  std::sort(origins.begin(), origins.end());
+  origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
+  for (RankId const r : origins) {
+    std::erase_if(local_[static_cast<std::size_t>(r)],
+                  [](Resident const& slot) { return slot.payload == nullptr; });
+  }
+  return out;
+}
+
+Migratable* ObjectStore::place(RankId rank, TaskId id,
+                               std::unique_ptr<Migratable> payload) {
+  Table& table = local_[static_cast<std::size_t>(rank)];
+  Migratable* const raw = payload.get();
+  table.insert(lower_bound_id(table, id), Resident{id, std::move(payload)});
+  return raw;
+}
+
+std::size_t ObjectStore::audit_layout() const {
+  auto const owned = std::count_if(
+      directory_.begin(), directory_.end(),
+      [](Entry const& e) { return e.owner != invalid_rank; });
+  TLB_INVARIANT(static_cast<std::size_t>(owned) == tasks_,
+                "migration conserves the global task count");
+  std::size_t resident = 0;
+  bool sorted = true;
+  bool listed_owned = true;
+  bool cache_exact = true;
+  for (std::size_t r = 0; r < local_.size(); ++r) {
+    Table const& table = local_[r];
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      Resident const& slot = table[i];
+      sorted = sorted && (i == 0 || table[i - 1].id < slot.id);
+      bool const owned_here = owner(slot.id) == static_cast<RankId>(r);
+      listed_owned = listed_owned && owned_here;
+      cache_exact =
+          cache_exact && owned_here &&
+          directory_[static_cast<std::size_t>(slot.id)].payload ==
+              slot.payload.get();
+    }
+    resident += table.size();
+  }
+  TLB_INVARIANT(sorted, "each rank's table is strictly increasing by id");
+  TLB_INVARIANT(listed_owned,
+                "every id a rank's table lists is owned by that rank");
+  TLB_INVARIANT(cache_exact,
+                "directory payload cache equals the owner table's pointer");
+  return resident;
+}
 
 std::size_t ObjectStore::migrate(Runtime& rt,
                                  std::vector<Migration> const& migrations) {
@@ -63,45 +133,29 @@ std::size_t ObjectStore::migrate(Runtime& rt,
   if (rt.fault_active()) {
     return migrate_resilient(rt, migrations);
   }
-  [[maybe_unused]] std::size_t audit_tasks_before = 0;
-  TLB_AUDIT_BLOCK { audit_tasks_before = directory_.size(); }
   std::size_t moved_bytes = 0;
-  for (Migration const& m : migrations) {
-    TLB_EXPECTS(m.to >= 0 && m.to < num_ranks());
-    auto const dir = directory_.find(m.task);
-    TLB_EXPECTS(dir != directory_.end());
-    TLB_EXPECTS(dir->second == m.from);
-    if (m.from == m.to) {
-      continue;
-    }
-
-    auto& from_map = local_[static_cast<std::size_t>(m.from)];
-    auto const it = from_map.find(m.task);
-    TLB_ASSERT(it != from_map.end());
-    std::size_t const bytes = it->second->wire_bytes();
-
+  for (Departure& d : depart(migrations)) {
     // The origin rank sends the extracted payload to the target, which
     // installs it — the in-process analogue of serialize/ship/deserialize.
-    auto shared_payload =
-        std::make_shared<std::unique_ptr<Migratable>>(std::move(it->second));
-    from_map.erase(it);
     auto* store = this;
-    TaskId const task = m.task;
-    RankId const to = m.to;
+    auto shared_payload = std::move(d.payload);
+    TaskId const task = d.mig.task;
+    RankId const to = d.mig.to;
+    std::size_t const bytes = d.bytes;
     rt.post(
-        m.from,
+        d.mig.from,
         [store, shared_payload, task, to, bytes](RankContext& ctx) {
           ctx.send(
               to, bytes,
               [store, shared_payload, task](RankContext& dest) {
-                store->local_[static_cast<std::size_t>(dest.rank())].emplace(
-                    task, std::move(*shared_payload));
+                store->entry(task).payload = store->place(
+                    dest.rank(), task, std::move(*shared_payload));
               },
               MessageKind::migration);
         },
         0, MessageKind::migration);
 
-    dir->second = m.to;
+    entry(task).owner = to;
     moved_bytes += bytes;
     ++migration_count_;
   }
@@ -111,13 +165,7 @@ std::size_t ObjectStore::migrate(Runtime& rt,
     // tasks, every payload must be resident on exactly one rank once the
     // protocol quiesces, and the directory must agree with the residency
     // each migration promised.
-    TLB_INVARIANT(directory_.size() == audit_tasks_before,
-                  "migration conserves the global task count");
-    std::size_t resident = 0;
-    for (auto const& rank_map : local_) {
-      resident += rank_map.size();
-    }
-    TLB_INVARIANT(resident == directory_.size(),
+    TLB_INVARIANT(audit_layout() == tasks_,
                   "every task resident on exactly one rank after migrate");
     bool directory_agrees = true;
     bool payload_installed = true;
@@ -142,17 +190,13 @@ ObjectStore::migrate_resilient(Runtime& rt,
   // an unapplied slot means the payload (or the driver post carrying it)
   // was provably lost, so the driver retries with exponential backoff until
   // the policy's attempt budget runs out, then rolls the migration back.
-  [[maybe_unused]] std::size_t audit_tasks_before = 0;
-  TLB_AUDIT_BLOCK { audit_tasks_before = directory_.size(); }
   RetryPolicy const& retry = rt.config().retry;
 
-  struct CommitSlot {
-    Migration mig;
-    std::size_t bytes = 0;
+  // The departed payload stays owned here until the destination installs
+  // it, so a dropped message never loses the task.
+  struct CommitSlot : Departure {
+    explicit CommitSlot(Departure d) : Departure{std::move(d)} {}
     int attempts = 0;
-    // Extracted payload. Owned here until the destination installs it, so
-    // a dropped message never loses the task.
-    std::shared_ptr<std::unique_ptr<Migratable>> payload;
     // `applied` is written once by the destination's install handler;
     // `acked` by the origin's ack handler. Distinct bytes in distinct
     // slots, each read by the driver only after quiescence.
@@ -162,24 +206,8 @@ ObjectStore::migrate_resilient(Runtime& rt,
 
   std::vector<CommitSlot> slots;
   slots.reserve(migrations.size());
-  for (Migration const& m : migrations) {
-    TLB_EXPECTS(m.to >= 0 && m.to < num_ranks());
-    auto const dir = directory_.find(m.task);
-    TLB_EXPECTS(dir != directory_.end());
-    TLB_EXPECTS(dir->second == m.from);
-    if (m.from == m.to) {
-      continue;
-    }
-    auto& from_map = local_[static_cast<std::size_t>(m.from)];
-    auto const it = from_map.find(m.task);
-    TLB_ASSERT(it != from_map.end());
-    CommitSlot slot;
-    slot.mig = m;
-    slot.bytes = it->second->wire_bytes();
-    slot.payload =
-        std::make_shared<std::unique_ptr<Migratable>>(std::move(it->second));
-    from_map.erase(it);
-    slots.push_back(std::move(slot));
+  for (Departure& d : depart(migrations)) {
+    slots.emplace_back(std::move(d));
   }
 
   // Receiver-side dedup: slot index doubles as the batch-unique sequence
@@ -205,8 +233,9 @@ ObjectStore::migrate_resilient(Runtime& rt,
                 if (!installed.insert(idx).second) {
                   return; // duplicate commit: idempotent no-op
                 }
-                store->local_[static_cast<std::size_t>(dest.rank())].emplace(
-                    slot->mig.task, std::move(*slot->payload));
+                // The directory learns the new owner only at commit.
+                store->place(dest.rank(), slot->mig.task,
+                             std::move(*slot->payload));
                 slot->applied = 1;
                 dest.send(
                     slot->mig.from, 0,
@@ -252,16 +281,16 @@ ObjectStore::migrate_resilient(Runtime& rt,
       // Commit: the destination holds the payload; only now does the
       // directory learn the new owner (a failed round must leave it
       // pointing at the origin).
-      directory_[slot.mig.task] = slot.mig.to;
+      entry(slot.mig.task) = {slot.object, slot.mig.to};
       moved_bytes += slot.bytes;
       ++migration_count_;
     } else {
       // Retry budget exhausted: roll back. The payload never left the
       // driver-held slot (every delivery attempt was dropped), so it is
-      // reinstated at the origin and the directory stays untouched.
+      // reinstated at the origin and the directory keeps the origin.
       TLB_ASSERT(*slot.payload != nullptr);
-      local_[static_cast<std::size_t>(slot.mig.from)].emplace(
-          slot.mig.task, std::move(*slot.payload));
+      entry(slot.mig.task).payload =
+          place(slot.mig.from, slot.mig.task, std::move(*slot.payload));
       failed_.push_back(slot.mig);
     }
   }
@@ -269,13 +298,7 @@ ObjectStore::migrate_resilient(Runtime& rt,
   TLB_AUDIT_BLOCK {
     // Conservation holds even under faults: commits moved the payload,
     // rollbacks reinstated it, and nothing was created or destroyed.
-    TLB_INVARIANT(directory_.size() == audit_tasks_before,
-                  "resilient migration conserves the global task count");
-    std::size_t resident = 0;
-    for (auto const& rank_map : local_) {
-      resident += rank_map.size();
-    }
-    TLB_INVARIANT(resident == directory_.size(),
+    TLB_INVARIANT(audit_layout() == tasks_,
                   "every task resident on exactly one rank after migrate");
     bool placement_agrees = true;
     for (CommitSlot const& slot : slots) {

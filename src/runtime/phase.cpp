@@ -1,8 +1,35 @@
 #include "runtime/phase.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
 
 namespace tlb::rt {
+
+namespace {
+
+/// Writes `records` to `out` as one entry per task id, sorted by id. The
+/// sort is stable, so each sum runs over the task's records in arrival
+/// order starting from 0.0. Records arriving in id order (the pic loop
+/// walks its colors that way) skip the sort and its temporary buffer.
+void fold(std::vector<lb::TaskEntry>& records,
+          std::vector<lb::TaskEntry>& out) {
+  auto const by_id = [](lb::TaskEntry const& a, lb::TaskEntry const& b) {
+    return a.id < b.id;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_id)) {
+    std::stable_sort(records.begin(), records.end(), by_id);
+  }
+  out.clear();
+  for (lb::TaskEntry const& record : records) {
+    if (out.empty() || out.back().id != record.id) {
+      out.push_back({record.id, 0.0});
+    }
+    out.back().load += record.load;
+  }
+}
+
+} // namespace
 
 PhaseInstrumentation::PhaseInstrumentation(RankId num_ranks)
     : current_(static_cast<std::size_t>(num_ranks)),
@@ -11,8 +38,10 @@ PhaseInstrumentation::PhaseInstrumentation(RankId num_ranks)
 }
 
 void PhaseInstrumentation::start_phase() {
-  previous_ = std::move(current_);
-  current_.assign(previous_.size(), {});
+  for (std::size_t r = 0; r < current_.size(); ++r) {
+    fold(current_[r], previous_[r]);
+    current_[r].clear();
+  }
   ++phase_;
 }
 
@@ -20,27 +49,21 @@ void PhaseInstrumentation::record(RankId rank, TaskId task, LoadType load) {
   TLB_EXPECTS(rank >= 0 &&
               static_cast<std::size_t>(rank) < current_.size());
   TLB_EXPECTS(load >= 0.0);
-  current_[static_cast<std::size_t>(rank)][task] += load;
+  current_[static_cast<std::size_t>(rank)].push_back({task, load});
 }
 
 std::vector<lb::TaskEntry>
 PhaseInstrumentation::previous_tasks(RankId rank) const {
   TLB_EXPECTS(rank >= 0 &&
               static_cast<std::size_t>(rank) < previous_.size());
-  std::vector<lb::TaskEntry> out;
-  auto const& m = previous_[static_cast<std::size_t>(rank)];
-  out.reserve(m.size());
-  for (auto const& [id, load] : m) {
-    out.push_back({id, load});
-  }
-  return out;
+  return previous_[static_cast<std::size_t>(rank)];
 }
 
 std::vector<LoadType> PhaseInstrumentation::previous_rank_loads() const {
   std::vector<LoadType> out(previous_.size(), 0.0);
   for (std::size_t r = 0; r < previous_.size(); ++r) {
-    for (auto const& [id, load] : previous_[r]) {
-      out[r] += load;
+    for (lb::TaskEntry const& task : previous_[r]) {
+      out[r] += task.load;
     }
   }
   return out;
@@ -50,12 +73,9 @@ std::vector<lb::TaskEntry>
 PhaseInstrumentation::current_tasks(RankId rank) const {
   TLB_EXPECTS(rank >= 0 &&
               static_cast<std::size_t>(rank) < current_.size());
+  auto records = current_[static_cast<std::size_t>(rank)];
   std::vector<lb::TaskEntry> out;
-  auto const& m = current_[static_cast<std::size_t>(rank)];
-  out.reserve(m.size());
-  for (auto const& [id, load] : m) {
-    out.push_back({id, load});
-  }
+  fold(records, out);
   return out;
 }
 

@@ -7,7 +7,6 @@
 /// balancer then reads the previous phase's measurements as its predictor
 /// of the next phase.
 
-#include <map>
 #include <vector>
 
 #include "lb/lb_types.hpp"
@@ -18,6 +17,11 @@ namespace tlb::rt {
 /// Per-job instrumentation store. Thread-safety: record() for a given rank
 /// is only called from that rank's handlers (which the runtime serializes);
 /// cross-rank reads happen between phases.
+///
+/// Layout: record() appends to a flat per-rank vector in arrival order.
+/// start_phase() folds each vector into one entry per task, sorted by id,
+/// summing repeats in arrival order from 0.0 (the rounding of accumulating
+/// into a map), and keeps every vector's capacity for the next phase.
 class PhaseInstrumentation {
 public:
   explicit PhaseInstrumentation(RankId num_ranks);
@@ -43,9 +47,10 @@ public:
   [[nodiscard]] std::vector<lb::TaskEntry> current_tasks(RankId rank) const;
 
 private:
-  using RankMeasurements = std::map<TaskId, LoadType>;
-  std::vector<RankMeasurements> current_;
-  std::vector<RankMeasurements> previous_;
+  /// Per rank: this phase's records in arrival order; ids may repeat.
+  std::vector<std::vector<lb::TaskEntry>> current_;
+  /// Per rank: the previous phase folded, one entry per task, by id.
+  std::vector<std::vector<lb::TaskEntry>> previous_;
   std::size_t phase_ = 0;
 };
 

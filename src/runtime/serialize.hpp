@@ -211,8 +211,12 @@ public:
   [[nodiscard]] std::shared_ptr<Slot> acquire() {
     for (auto& slot : slots_) {
       if (slot.use_count() == 1) {
-        slot->bytes.clear();
-        return slot;
+        // use_count() is a relaxed load. Taking the copy first is an
+        // acquire-release increment, which orders the last holder's reads
+        // on another rank's thread before this clear().
+        std::shared_ptr<Slot> reused = slot;
+        reused->bytes.clear();
+        return reused;
       }
     }
     slots_.push_back(std::make_shared<Slot>());

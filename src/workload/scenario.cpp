@@ -314,7 +314,9 @@ lb::StrategyInput ScenarioWorkload::measure(std::uint64_t phase,
   TLB_EXPECTS(static_cast<std::size_t>(store.num_ranks()) == ranks);
   input.tasks.resize(ranks);
   for (std::size_t r = 0; r < ranks; ++r) {
-    for (TaskId const id : store.tasks_on(static_cast<RankId>(r))) {
+    auto const ids = store.tasks_on(static_cast<RankId>(r));
+    input.tasks[r].reserve(ids.size());
+    for (TaskId const id : ids) {
       input.tasks[r].push_back({id, task_load(phase, id)});
     }
   }

@@ -10,40 +10,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "../support/alloc_counter.hpp"
 #include "lb/strategy/inform_plane.hpp"
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-} // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace tlb::lb {
 namespace {
+
+using test::start_counting_allocations;
+using test::stop_counting_allocations;
 
 TEST(GossipAllocTest, SteadyStateInformRoundsDoNotAllocate) {
   RankId const p = 32;
@@ -82,21 +58,17 @@ TEST(GossipAllocTest, SteadyStateInformRoundsDoNotAllocate) {
     run_epoch();
   }
 
-  g_allocations.store(0);
-  g_counting.store(true);
+  start_counting_allocations();
   for (int epoch = 0; epoch < 4; ++epoch) {
     run_epoch();
   }
-  g_counting.store(false);
-
-  EXPECT_EQ(g_allocations.load(), 0u)
+  EXPECT_EQ(stop_counting_allocations(), 0u)
       << "steady-state inform rounds must reuse warm capacities";
 
   // Sanity-check the counter itself: it must see a real allocation.
-  g_counting.store(true);
+  start_counting_allocations();
   auto* probe = new int{1};
-  g_counting.store(false);
-  EXPECT_GT(g_allocations.load(), 0u);
+  EXPECT_GT(stop_counting_allocations(), 0u);
   delete probe;
 }
 
@@ -128,11 +100,9 @@ TEST(GossipAllocTest, FullWireAlsoRunsAllocationFree) {
   for (int epoch = 0; epoch < 3; ++epoch) {
     run_epoch();
   }
-  g_allocations.store(0);
-  g_counting.store(true);
+  start_counting_allocations();
   run_epoch();
-  g_counting.store(false);
-  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(stop_counting_allocations(), 0u);
 }
 
 } // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+
+#include "support/rng.hpp"
+
 namespace tlb::rt {
 namespace {
 
@@ -61,6 +67,59 @@ TEST(Phase, TaskDisappearsWhenNotRecorded) {
   auto const prev = inst.previous_tasks(0);
   ASSERT_EQ(prev.size(), 1u);
   EXPECT_EQ(prev[0].id, 1);
+}
+
+/// The layout the flat store replaced: one map per rank, accumulated with
+/// `+=` from a value-initialized 0.0.
+using Reference = std::vector<std::map<TaskId, LoadType>>;
+
+std::uint64_t bits(LoadType load) { return std::bit_cast<std::uint64_t>(load); }
+
+void expect_bit_equal(std::vector<lb::TaskEntry> const& got,
+                      std::map<TaskId, LoadType> const& want) {
+  ASSERT_EQ(got.size(), want.size());
+  auto it = want.begin();
+  for (lb::TaskEntry const& entry : got) {
+    EXPECT_EQ(entry.id, it->first);
+    EXPECT_EQ(bits(entry.load), bits(it->second)) << "task " << entry.id;
+    ++it;
+  }
+}
+
+TEST(Phase, RandomRecordStreamMatchesMapReference) {
+  // Ids arrive out of order and repeat, so every sum depends on the fold
+  // order; -0.0 records pin the 0.0 starting value.
+  constexpr RankId ranks = 4;
+  PhaseInstrumentation inst{ranks};
+  Rng rng{0x5eed'f01d};
+  for (int phase = 0; phase < 6; ++phase) {
+    Reference current(static_cast<std::size_t>(ranks));
+    for (int i = 0; i < 300; ++i) {
+      auto const rank = static_cast<RankId>(rng.uniform_below(ranks));
+      auto const task = static_cast<TaskId>(rng.uniform_below(40));
+      LoadType const load =
+          rng.uniform_below(16) == 0 ? -0.0 : rng.uniform(0.0, 3.0);
+      inst.record(rank, task, load);
+      current[static_cast<std::size_t>(rank)][task] += load;
+    }
+    for (RankId r = 0; r < ranks; ++r) {
+      expect_bit_equal(inst.current_tasks(r),
+                       current[static_cast<std::size_t>(r)]);
+    }
+    inst.start_phase();
+    std::vector<LoadType> const loads = inst.previous_rank_loads();
+    ASSERT_EQ(loads.size(), static_cast<std::size_t>(ranks));
+    for (RankId r = 0; r < ranks; ++r) {
+      auto const& want = current[static_cast<std::size_t>(r)];
+      expect_bit_equal(inst.previous_tasks(r), want);
+      EXPECT_TRUE(inst.current_tasks(r).empty());
+      LoadType sum = 0.0;
+      for (auto const& [id, load] : want) {
+        sum += load;
+      }
+      EXPECT_EQ(bits(loads[static_cast<std::size_t>(r)]), bits(sum));
+    }
+  }
 }
 
 TEST(PhaseDeath, NegativeLoadAborts) {
