@@ -4,30 +4,22 @@
 /// Three price points on the same 64-rank fan-out workload as
 /// BM_MessageThroughput in micro_runtime.cpp:
 ///
-///   BM_CausalDormant  — telemetry compiled in, runtime-disabled. The
-///                       stamp member rides in the envelope but the only
-///                       work per message is the obs::enabled() relaxed
-///                       load the send path already paid before this PR.
-///                       Compare against BM_MessageThroughput (and the
-///                       -DTLB_TELEMETRY=OFF build) to bound the dormant
-///                       overhead; CI's bench-smoke asserts the ratio.
+///   BM_CausalDormant  — telemetry runtime-disabled. The stamp member
+///                       rides in the envelope but the only work per
+///                       message is the obs::enabled() relaxed load.
+///                       Compare against BM_MessageThroughput/1 to bound
+///                       the dormant overhead.
 ///   BM_CausalEnabled  — telemetry on: every send stamps a CausalStamp,
 ///                       every delivery is timed and appended to the
 ///                       CausalLog.
 ///   BM_CriticalPath   — the offline reducer over a log of the size one
 ///                       enabled pump leaves behind.
-///
-/// With -DTLB_TELEMETRY=OFF only the dormant benchmark exists, which is
-/// exactly the comparison point.
 
 #include <benchmark/benchmark.h>
 
+#include "obs/causal.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/runtime.hpp"
-
-#if TLB_TELEMETRY_ENABLED
-#include "obs/causal.hpp"
-#endif
 
 namespace {
 
@@ -66,8 +58,6 @@ void BM_CausalDormant(benchmark::State& state) {
 }
 BENCHMARK(BM_CausalDormant)->Unit(benchmark::kMicrosecond);
 
-#if TLB_TELEMETRY_ENABLED
-
 void BM_CausalEnabled(benchmark::State& state) {
   obs::set_enabled(true);
   obs::CausalLog::instance().clear();
@@ -104,7 +94,5 @@ void BM_CriticalPath(benchmark::State& state) {
   obs::CausalLog::instance().clear();
 }
 BENCHMARK(BM_CriticalPath)->Unit(benchmark::kMicrosecond);
-
-#endif // TLB_TELEMETRY_ENABLED
 
 } // namespace

@@ -4,26 +4,21 @@
 /// Three price points, measured on the same 64-rank fan-out workload as
 /// BM_MessageThroughput in micro_runtime.cpp:
 ///
-///   BM_FaultPath/none      — no hook installed.  With -DTLB_FAULT=ON this
-///                            is the dormant cost (one pointer test per
-///                            send/drain); with -DTLB_FAULT=OFF the hook
-///                            member does not exist and this is the true
-///                            baseline.  Comparing the two builds bounds
-///                            the dormant overhead.
-///   BM_FaultPath/clean     — the "none" profile installed: every message
+///   BM_FaultPathNone       — no hook installed: the dormant cost, one
+///                            pointer test per send/drain. Compare against
+///                            BM_MessageThroughput/1 to bound it.
+///   BM_FaultPathCleanHook  — the "none" profile installed: every message
 ///                            takes the virtual on_send call but no fault
-///                            fires (only compiled under TLB_FAULT).
-///   BM_FaultPath/drops     — the canonical lossy profile actually
-///                            injecting faults (only under TLB_FAULT).
+///                            fires.
+///   BM_FaultPathDrops      — the canonical lossy profile actually
+///                            injecting faults.
 
 #include <benchmark/benchmark.h>
 
 #include "runtime/runtime.hpp"
 
-#if TLB_FAULT_ENABLED
 #include "fault/fault_config.hpp"
 #include "fault/fault_plane.hpp"
-#endif
 
 namespace {
 
@@ -61,8 +56,6 @@ void BM_FaultPathNone(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultPathNone)->Unit(benchmark::kMicrosecond);
 
-#if TLB_FAULT_ENABLED
-
 void BM_FaultPathCleanHook(benchmark::State& state) {
   Runtime rt{config()};
   auto plane = fault::install_fault_plane(rt, fault::FaultConfig::none());
@@ -78,7 +71,5 @@ void BM_FaultPathDrops(benchmark::State& state) {
   rt.set_fault_hook(nullptr);
 }
 BENCHMARK(BM_FaultPathDrops)->Unit(benchmark::kMicrosecond);
-
-#endif // TLB_FAULT_ENABLED
 
 } // namespace

@@ -3,15 +3,12 @@
 /// throughput (sequential and threaded, plus a rank-count sweep at the
 /// paper's scales), allreduce latency versus rank count,
 /// termination-detection wave overhead, and object-migration throughput.
-/// Throughput benches report the InlineHandler heap-fallback counter so
-/// the perf trajectory proves the message plane stays allocation-free.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 
 #include "runtime/collectives.hpp"
-#include "runtime/inline_handler.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/termination.hpp"
@@ -49,15 +46,12 @@ std::int64_t run_storm(Runtime& rt) {
 void BM_MessageThroughput(benchmark::State& state) {
   auto const threads = static_cast<int>(state.range(0));
   Runtime rt{config(64, threads)};
-  InlineHandler::reset_heap_fallback_count();
   std::int64_t per_storm = 0;
   for (auto _ : state) {
     per_storm = run_storm(rt);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           per_storm);
-  state.counters["sbo_heap_fallbacks"] = static_cast<double>(
-      InlineHandler::heap_fallback_count());
 }
 BENCHMARK(BM_MessageThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
@@ -69,15 +63,12 @@ BENCHMARK(BM_MessageThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_MessageThroughputAtScale(benchmark::State& state) {
   auto const ranks = static_cast<RankId>(state.range(0));
   Runtime rt{config(ranks, 1)};
-  InlineHandler::reset_heap_fallback_count();
   std::int64_t per_storm = 0;
   for (auto _ : state) {
     per_storm = run_storm(rt);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           per_storm);
-  state.counters["sbo_heap_fallbacks"] = static_cast<double>(
-      InlineHandler::heap_fallback_count());
 }
 BENCHMARK(BM_MessageThroughputAtScale)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);

@@ -21,8 +21,8 @@ namespace {
 using namespace tlb;
 
 /// The dormant fast path: one relaxed atomic load plus a not-taken branch.
-/// This is what every TLB_SPAN/TLB_INSTANT site costs when telemetry is
-/// compiled in but not runtime-enabled.
+/// This is what every TLB_SPAN/TLB_INSTANT site costs while telemetry is
+/// not runtime-enabled.
 void BM_DormantSpanGuard(benchmark::State& state) {
   obs::set_enabled(false);
   for (auto _ : state) {

@@ -28,8 +28,8 @@ trap 'rm -rf "${TMP}"' EXIT
 
 # Substrate microbenches (google-benchmark JSON). The throughput filter
 # covers the sequential 256/1024/4096-rank sweep and the 1-8 worker
-# threaded scaling, both of which also report the SBO heap-fallback
-# counter — a nonzero value there is a perf regression by definition.
+# threaded scaling. No handler can heap-allocate: InlineHandler rejects
+# any closure that does not fit inline at compile time.
 "${BUILD_DIR}/bench/micro_runtime" \
   --benchmark_filter='BM_MessageThroughput' \
   --benchmark_format=json >"${TMP}/micro_runtime.json"

@@ -53,5 +53,7 @@ fi
 
 echo "lint.sh: building tlb_lint" >&2
 cmake --build "${BUILD_DIR}" --target tlb_lint -- -j "$(nproc)" >/dev/null
-"${BUILD_DIR}/tools/tlb_lint/tlb_lint" --root . src
+# tlb_lint walks every compiled tree: most rules are scoped to src/, but
+# no-removed-gate also guards tests/, bench/ and examples/.
+"${BUILD_DIR}/tools/tlb_lint/tlb_lint" --root . src tests bench examples
 echo "lint.sh: tlb_lint clean" >&2

@@ -71,14 +71,12 @@ rt::DrainGate FaultPlane::on_drain(RankId rank, std::uint64_t poll) {
     }
     if (poll >= config_.crash_at_poll) {
       crashed_[slot].store(true, std::memory_order_release);
-#if TLB_TELEMETRY_ENABLED
       if (obs::enabled()) {
         // The injected crash just fired (first transition only — the
         // early-return above covers later polls): capture the black box
         // before the runtime purges the dead rank's mailbox.
         (void)obs::dump_flight_record("fault_crash");
       }
-#endif
       return rt::DrainGate::crashed;
     }
   }

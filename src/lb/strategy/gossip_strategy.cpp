@@ -46,9 +46,9 @@ struct Shared {
   /// post_all closures read it through `shared` instead of capturing it.
   double threshold = 0.0;
   /// Full parameter block for run_transfer. Kept in the shared block for
-  /// the same reason: capturing LbParams by value (48 bytes) pushed the
-  /// transfer-pass closure past the envelope's inline capacity and onto
-  /// the heap-fallback path, one allocation per rank per iteration.
+  /// the same reason: capturing LbParams by value (48 bytes) would push
+  /// the transfer-pass closure past the envelope's inline capacity, which
+  /// InlineHandler rejects at compile time.
   LbParams params;
   obs::LbReportBuilder* report = nullptr; ///< optional introspection sink
 };

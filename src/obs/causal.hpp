@@ -21,9 +21,9 @@
 /// IS the same logical message, and the reducer treats the first recorded
 /// delivery as authoritative.
 ///
-/// Everything here is compiled out with the telemetry gate; with the gate
-/// on but telemetry runtime-disabled, the only residue on the message
-/// paths is the enabled() load (see bench/micro_causal.cpp).
+/// With telemetry runtime-disabled, the only residue on the message paths
+/// is the enabled() load and an empty stamp per envelope (see
+/// bench/micro_causal.cpp).
 
 #include <atomic>
 #include <cstdint>
@@ -39,9 +39,9 @@
 
 namespace tlb::obs {
 
-/// Causal identity carried by rt::Envelope (when the telemetry gate is
-/// compiled in). id == 0 marks an unstamped message (telemetry was off at
-/// send time); parent == 0 marks a root (driver-posted) message.
+/// Causal identity carried by rt::Envelope. id == 0 marks an unstamped
+/// message (telemetry was off at send time); parent == 0 marks a root
+/// (driver-posted) message.
 struct CausalStamp {
   std::uint64_t id = 0;
   std::uint64_t parent = 0;

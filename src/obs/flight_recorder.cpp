@@ -1,7 +1,5 @@
 #include "obs/flight_recorder.hpp"
 
-#if TLB_TELEMETRY_ENABLED
-
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -124,5 +122,3 @@ std::string dump_flight_record(char const* reason) {
 }
 
 } // namespace tlb::obs
-
-#endif // TLB_TELEMETRY_ENABLED

@@ -22,16 +22,13 @@
 /// injects crashes by the thousand). install_flight_recorder() hooks
 /// audit::set_failure_hook and is called automatically when telemetry is
 /// switched on; the other two triggers live in the runtime and the fault
-/// plane. With the telemetry gate compiled out everything here is a
-/// no-op.
+/// plane.
 
 #include <string>
 
 #include "obs/telemetry.hpp"
 
 namespace tlb::obs {
-
-#if TLB_TELEMETRY_ENABLED
 
 /// Write the postmortem document now, if telemetry is enabled and no dump
 /// has happened yet. `reason` is recorded verbatim (an invariant message,
@@ -55,16 +52,5 @@ void set_flight_record_path(std::string path);
 /// Install the audit failure hook so abort-mode invariant violations dump
 /// before aborting. Idempotent; called by obs::set_enabled(true).
 void install_flight_recorder();
-
-#else
-
-inline std::string dump_flight_record(char const*) { return {}; }
-[[nodiscard]] inline bool flight_record_dumped() { return false; }
-inline void rearm_flight_recorder() {}
-[[nodiscard]] inline std::string flight_record_path() { return {}; }
-inline void set_flight_record_path(std::string) {}
-inline void install_flight_recorder() {}
-
-#endif
 
 } // namespace tlb::obs

@@ -8,8 +8,6 @@
 
 namespace tlb::obs {
 
-#if TLB_TELEMETRY_ENABLED
-
 namespace {
 
 /// -1 = not yet resolved from the environment, 0 = off, 1 = on.
@@ -48,7 +46,5 @@ void set_enabled(bool on) {
     install_flight_recorder();
   }
 }
-
-#endif
 
 } // namespace tlb::obs

@@ -2,42 +2,20 @@
 
 /// \file telemetry.hpp
 /// Master switch for the telemetry layer (metrics registry, event tracer,
-/// LB introspection). Follows the TLB_AUDIT pattern from
-/// support/check.hpp: a compile-time gate plus a runtime flag, so telemetry
-/// is zero-cost when compiled out and one relaxed atomic load when merely
-/// switched off.
-///
-/// Compile-time: the build defines TLB_TELEMETRY_ENABLED=1 when configured
-/// with `-DTLB_TELEMETRY=ON` (the default). With the gate off, enabled()
-/// is a constant false, the trace macros in tracer.hpp expand to nothing,
-/// and every telemetry call site folds away.
-///
-/// Runtime: even when compiled in, telemetry starts OFF. It is switched on
-/// either programmatically (set_enabled(true), what the `--telemetry`
-/// flags in the examples do) or through the environment variable
+/// LB introspection). Telemetry is always compiled in and starts OFF, so
+/// a dormant probe costs one relaxed atomic load. It is switched on either
+/// programmatically (set_enabled(true), what the `--telemetry` flags in
+/// the examples do) or through the environment variable
 /// `TLB_TELEMETRY=1`, read once on first query.
-
-#ifndef TLB_TELEMETRY_ENABLED
-#define TLB_TELEMETRY_ENABLED 0
-#endif
 
 namespace tlb::obs {
 
-#if TLB_TELEMETRY_ENABLED
-
-/// True when telemetry is compiled in AND switched on (programmatically or
-/// via `TLB_TELEMETRY=1` in the environment). Hot paths may call this
-/// freely: it is a single relaxed atomic load after the first call.
+/// True when telemetry is switched on (programmatically or via
+/// `TLB_TELEMETRY=1` in the environment). Hot paths may call this freely:
+/// it is a single relaxed atomic load after the first call.
 [[nodiscard]] bool enabled();
 
 /// Switch telemetry on/off at runtime (overrides the environment).
 void set_enabled(bool on);
-
-#else
-
-[[nodiscard]] constexpr bool enabled() { return false; }
-constexpr void set_enabled(bool) {}
-
-#endif
 
 } // namespace tlb::obs

@@ -17,8 +17,7 @@
 /// Event names and categories must be string literals (or otherwise
 /// outlive the tracer): events store the pointers, not copies.
 ///
-/// Use through the macros so disabled builds (TLB_TELEMETRY=OFF) compile
-/// the instrumentation out entirely:
+/// Use through the macros, which name the guard for you:
 ///
 ///   TLB_SPAN("lb", "balance");
 ///   TLB_SPAN_ARG("rt", "drain", "n", batch_size);
@@ -141,8 +140,6 @@ void instant(char const* cat, char const* name, char const* arg_name,
 
 } // namespace tlb::obs
 
-#if TLB_TELEMETRY_ENABLED
-
 #define TLB_OBS_CONCAT_IMPL(a, b) a##b
 #define TLB_OBS_CONCAT(a, b) TLB_OBS_CONCAT_IMPL(a, b)
 
@@ -155,12 +152,3 @@ void instant(char const* cat, char const* name, char const* arg_name,
 #define TLB_INSTANT(cat, name) ::tlb::obs::instant(cat, name)
 #define TLB_INSTANT_ARG(cat, name, arg_name, arg_value)                        \
   ::tlb::obs::instant(cat, name, arg_name, static_cast<double>(arg_value))
-
-#else
-
-#define TLB_SPAN(cat, name) ((void)0)
-#define TLB_SPAN_ARG(cat, name, arg_name, arg_value) ((void)0)
-#define TLB_INSTANT(cat, name) ((void)0)
-#define TLB_INSTANT_ARG(cat, name, arg_name, arg_value) ((void)0)
-
-#endif

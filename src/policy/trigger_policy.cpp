@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "support/assert.hpp"
@@ -10,10 +11,13 @@ namespace tlb::policy {
 
 namespace {
 
-[[nodiscard]] double parse_suffix_double(std::string_view spec,
-                                         std::string_view prefix) {
+/// Parse everything after `prefix` as one T. Specs come from command
+/// lines and configs, so anything but a whole in-range number (empty,
+/// trailing junk, a fraction or exponent where T is an integer) throws.
+template <typename T>
+[[nodiscard]] T parse_suffix(std::string_view spec, std::string_view prefix) {
   auto const suffix = spec.substr(prefix.size());
-  double value = 0.0;
+  T value{};
   auto const [ptr, ec] =
       std::from_chars(suffix.data(), suffix.data() + suffix.size(), value);
   if (ec != std::errc{} || ptr != suffix.data() + suffix.size()) {
@@ -186,16 +190,21 @@ std::unique_ptr<TriggerPolicy> make_policy(std::string_view spec) {
     return std::make_unique<NeverPolicy>();
   }
   if (spec.rfind("every-", 0) == 0) {
-    auto const k = parse_suffix_double(spec, "every-");
-    if (k < 1.0) {
-      throw std::invalid_argument("every-k needs k >= 1: " +
+    auto const k = parse_suffix<std::uint64_t>(spec, "every-");
+    if (k < 1) {
+      throw std::invalid_argument("every-k needs an integer k >= 1: " +
                                   std::string{spec});
     }
-    return std::make_unique<EveryKPolicy>(static_cast<std::uint64_t>(k));
+    return std::make_unique<EveryKPolicy>(k);
   }
   if (spec.rfind("threshold-", 0) == 0) {
-    return std::make_unique<ThresholdPolicy>(
-        parse_suffix_double(spec, "threshold-"));
+    auto const lambda = parse_suffix<double>(spec, "threshold-");
+    if (!std::isfinite(lambda) || std::signbit(lambda)) {
+      throw std::invalid_argument(
+          "threshold-<lambda> needs a finite lambda >= 0: " +
+          std::string{spec});
+    }
+    return std::make_unique<ThresholdPolicy>(lambda);
   }
   if (spec == "costbenefit") {
     return std::make_unique<CostBenefitPolicy>();

@@ -175,9 +175,10 @@ private:
   std::string name_;
 };
 
-/// Parse a policy spec: "always", "never", "every-<k>", "threshold-<λ>",
-/// "costbenefit", or "costbenefit-<model>". Throws std::invalid_argument
-/// on unknown specs.
+/// Parse a policy spec: "always", "never", "every-<k>" (k an integer
+/// >= 1), "threshold-<λ>" (λ a finite number >= 0), "costbenefit", or
+/// "costbenefit-<model>". Throws std::invalid_argument on anything else,
+/// including a malformed or out-of-range parameter.
 [[nodiscard]] std::unique_ptr<TriggerPolicy> make_policy(
     std::string_view spec);
 

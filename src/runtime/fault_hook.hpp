@@ -4,12 +4,9 @@
 /// The runtime side of the fault plane: a tiny decision interface the
 /// runtime consults on every send and every drain visit when a hook is
 /// installed. The concrete implementation (seeded profiles, straggler and
-/// crash schedules) lives in src/fault and is only built when the project
-/// is configured with `-DTLB_FAULT=ON` (the default), which defines
-/// TLB_FAULT_ENABLED=1. With the gate off the runtime call sites compile
-/// away entirely; with the gate on but no hook installed the cost is one
-/// pointer test per send/drain — the same dormant-cost discipline as the
-/// obs layer (see bench/micro_fault.cpp for the measurement).
+/// crash schedules) lives in src/fault. With no hook installed the cost is
+/// one pointer test per send/drain — the same dormant-cost discipline as
+/// the obs layer (see bench/micro_fault.cpp for the measurement).
 ///
 /// Semantics the runtime implements for each decision:
 ///   drop      — the message never enters a mailbox; it is recorded in
@@ -35,10 +32,6 @@
 
 #include "runtime/network_stats.hpp"
 #include "support/types.hpp"
-
-#ifndef TLB_FAULT_ENABLED
-#define TLB_FAULT_ENABLED 0
-#endif
 
 namespace tlb::rt {
 

@@ -7,9 +7,10 @@
 /// closure captures a shared_ptr plus payload, so the old message plane
 /// paid one malloc/free per message. InlineHandler stores the closure
 /// inline in the envelope (capacity sized for the largest protocol closure
-/// in the tree), falling back to the heap only for oversized or
-/// throwing-move callables, and counts those fallbacks in a process-wide
-/// counter so the benches can prove the hot protocols never take it.
+/// in the tree) and never allocates: a closure that does not fit — too
+/// large, over-aligned, or with a throwing move — is not convertible to an
+/// InlineHandler, so it fails to compile instead of silently costing a
+/// malloc per message.
 ///
 /// Semantics versus std::function:
 ///   - move-only: envelopes are never implicitly copied. The fault plane's
@@ -21,9 +22,7 @@
 ///     invoked (asserted), same contract as std::function's bad_function_
 ///     call, without the exception machinery.
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -40,14 +39,24 @@ public:
   /// Inline closure capacity, sized to the largest hot-path protocol
   /// closure and no larger: every extra byte here is paid by *every*
   /// envelope in every mailbox buffer, and the message plane is memory-
-  /// bound at scale (capacity 64 + 8-byte alignment keeps sizeof(Envelope)
-  /// at 96 — a line and a half — where the original std::max_align_t-
-  /// aligned buffer cost two full lines). Protocol closures are kept under
+  /// bound at scale (capacity 64 + 8-byte alignment keeps the envelope
+  /// proper at 96 bytes, where a std::max_align_t-aligned buffer would pad
+  /// it by 16; the causal stamp adds 32). Protocol closures are kept under
   /// this by capturing one shared_ptr to per-run state instead of fat
-  /// value captures (see Shared in gossip_strategy.cpp); the heap-fallback
-  /// counter (asserted zero across the protocol suites) is the regression
-  /// guard if a closure outgrows this.
+  /// value captures (see Shared in gossip_strategy.cpp). A closure that
+  /// outgrows this stops compiling; hoist its fat captures into such a
+  /// block rather than raising the capacity.
   static constexpr std::size_t inline_capacity = 64;
+
+  /// The storage contract, and the constraint on the converting
+  /// constructor. Storage is 8-aligned, not max_align_t-aligned: closures
+  /// capture pointers, doubles, and shared_ptrs, none of which need more,
+  /// and max_align_t alignment would pad every envelope by 16 bytes. The
+  /// nothrow move keeps relocation (and so every envelope move) noexcept.
+  template <typename D>
+  static constexpr bool fits_inline =
+      sizeof(D) <= inline_capacity && alignof(D) <= 8 &&
+      std::is_nothrow_move_constructible_v<D>;
 
   InlineHandler() = default;
   /*implicit*/ InlineHandler(std::nullptr_t) {}
@@ -57,33 +66,10 @@ public:
             typename = std::enable_if_t<
                 !std::is_same_v<D, InlineHandler> &&
                 !std::is_same_v<D, std::nullptr_t> &&
-                std::is_invocable_v<D&, RankContext&>>>
+                std::is_invocable_v<D&, RankContext&> && fits_inline<D>>>
   /*implicit*/ InlineHandler(F&& fn) {
-#if TLB_STRICT_SBO_ENABLED
-    // Strict-SBO mode (-DTLB_STRICT_SBO=ON): the heap fallback below is
-    // forbidden at compile time, turning the protocol suites' "zero heap
-    // fallbacks" runtime assertion into a build-breaking guarantee. A
-    // closure tripping this has outgrown the envelope: hoist fat captures
-    // into a shared_ptr'd per-run block (see Shared in gossip_strategy.cpp)
-    // instead of raising inline_capacity.
-    static_assert(sizeof(D) <= inline_capacity,
-                  "TLB_STRICT_SBO: closure exceeds InlineHandler's inline "
-                  "buffer and would heap-allocate per message");
-    static_assert(alignof(D) <= 8,
-                  "TLB_STRICT_SBO: over-aligned closure would take the "
-                  "heap fallback");
-    static_assert(std::is_nothrow_move_constructible_v<D>,
-                  "TLB_STRICT_SBO: throwing-move closure would take the "
-                  "heap fallback");
-#endif
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      ops_ = &kHeapOps<D>;
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+    ops_ = &kInlineOps<D>;
   }
 
   InlineHandler(InlineHandler&& other) noexcept { move_from(other); }
@@ -134,31 +120,7 @@ public:
     return out;
   }
 
-  /// True when this handler took the heap fallback (oversized closure).
-  [[nodiscard]] bool uses_heap() const {
-    return ops_ != nullptr && ops_->heap;
-  }
-
-  /// Process-wide count of heap-fallback constructions (including heap
-  /// clones) since the last reset. The message-plane benches and the
-  /// protocol tests assert this stays zero on the hot paths.
-  [[nodiscard]] static std::uint64_t heap_fallback_count() {
-    return heap_fallbacks_.load(std::memory_order_relaxed);
-  }
-  static void reset_heap_fallback_count() {
-    heap_fallbacks_.store(0, std::memory_order_relaxed);
-  }
-
 private:
-  /// Inline storage is 8-aligned, not max_align_t-aligned: closures
-  /// capture pointers, doubles, and shared_ptrs, none of which need more,
-  /// and max_align_t alignment would pad every envelope by 16 bytes. The
-  /// rare over-aligned callable takes the heap fallback.
-  template <typename D>
-  static constexpr bool fits_inline =
-      sizeof(D) <= inline_capacity && alignof(D) <= 8 &&
-      std::is_nothrow_move_constructible_v<D>;
-
   struct Ops {
     void (*invoke)(char* storage, RankContext& ctx);
     /// Invoke then destroy in one dispatch (the delivery path).
@@ -168,7 +130,6 @@ private:
     void (*destroy)(char* storage) noexcept;
     /// Copy-construct into `out` (null when the callable is not copyable).
     void (*clone)(char const* storage, InlineHandler& out);
-    bool heap;
     /// Trivially relocatable AND at most 16 bytes: moving is a raw copy of
     /// one fixed 16-byte block and the moved-from object needs no
     /// destruction. Lets move_from skip the indirect relocate dispatch for
@@ -223,57 +184,14 @@ private:
   }
 
   template <typename D>
-  static void invoke_heap(char* s, RankContext& ctx) {
-    (**as<D*>(s))(ctx);
-  }
-  template <typename D>
-  static void consume_heap(char* s, RankContext& ctx) {
-    (**as<D*>(s))(ctx);
-    delete *as<D*>(s);
-  }
-  template <typename D>
-  static void relocate_heap(char* dst, char* src) noexcept {
-    // The heap object stays put; only the owning pointer moves.
-    ::new (static_cast<void*>(dst)) D*(*as<D*>(src));
-  }
-  template <typename D>
-  static void destroy_heap(char* s) noexcept {
-    delete *as<D*>(s);
-  }
-  template <typename D>
-  static void clone_heap(char const* s, InlineHandler& out) {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      ::new (static_cast<void*>(out.storage_)) D*(new D(**as<D*>(s)));
-      out.ops_ = &kHeapOps<D>;
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      (void)s;
-      (void)out; // unreachable: the Ops table stores nullptr instead
-    }
-  }
-
-  template <typename D>
   static constexpr Ops kInlineOps{
       &invoke_inline<D>,
       &consume_inline<D>,
       &relocate_inline<D>,
       &destroy_inline<D>,
       std::is_copy_constructible_v<D> ? &clone_inline<D> : nullptr,
-      /*heap=*/false,
       /*trivial=*/std::is_trivially_copyable_v<D> &&
           std::is_trivially_destructible_v<D> && sizeof(D) <= 16,
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps{
-      &invoke_heap<D>,
-      &consume_heap<D>,
-      &relocate_heap<D>,
-      &destroy_heap<D>,
-      std::is_copy_constructible_v<D> ? &clone_heap<D> : nullptr,
-      /*heap=*/true,
-      // The owning pointer in storage_ is itself trivially relocatable.
-      /*trivial=*/true,
   };
 
   void move_from(InlineHandler& other) noexcept {
@@ -297,8 +215,6 @@ private:
       ops_ = nullptr;
     }
   }
-
-  inline static std::atomic<std::uint64_t> heap_fallbacks_{0};
 
   alignas(8) char storage_[inline_capacity];
   Ops const* ops_ = nullptr;

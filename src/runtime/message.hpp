@@ -14,14 +14,10 @@
 
 #include <cstddef>
 
-#include "obs/telemetry.hpp"
+#include "obs/causal.hpp"
 #include "runtime/inline_handler.hpp"
 #include "runtime/network_stats.hpp"
 #include "support/types.hpp"
-
-#if TLB_TELEMETRY_ENABLED
-#include "obs/causal.hpp"
-#endif
 
 namespace tlb::rt {
 
@@ -33,9 +29,8 @@ using Handler = InlineHandler;
 
 struct Envelope {
   Envelope() = default;
-  /// Positional construction mirrors the old aggregate layout so the
-  /// runtime's call sites read identically whether or not the telemetry
-  /// gate adds trailing members.
+  /// Positional construction mirrors the old aggregate layout; the
+  /// trailing causal stamp starts empty and is filled in by the runtime.
   Envelope(RankId from_, RankId to_, std::size_t bytes_, Handler handler_,
            MessageKind kind_ = MessageKind::other, bool fault_exempt_ = false)
       : from{from_},
@@ -55,15 +50,12 @@ struct Envelope {
   /// itself (a duplicate must not fission) and protocol-internal retry
   /// triggers injected by the driver.
   bool fault_exempt = false;
-#if TLB_TELEMETRY_ENABLED
   /// Causal identity (origin rank, LB step, parent span id, hop count),
   /// stamped by the runtime at send time when telemetry is enabled —
-  /// id == 0 otherwise. Compiled out with the gate so the dormant
-  /// envelope is unchanged. Constructing envelopes outside src/runtime
+  /// id == 0 otherwise. Constructing envelopes outside src/runtime
   /// bypasses the stamping (and is lint-forbidden:
   /// no-envelope-outside-runtime).
   obs::CausalStamp cause;
-#endif
 };
 
 } // namespace tlb::rt

@@ -22,11 +22,9 @@ void RankContext::send(RankId to, std::size_t bytes, Handler handler,
     rt_->stats_.record_send(to == rank_, bytes, kind);
   }
   Envelope env{rank_, to, bytes, std::move(handler), kind};
-#if TLB_TELEMETRY_ENABLED
   if (obs::enabled()) {
     rt_->stamp_causal(env, rank_, cause_);
   }
-#endif
   rt_->enqueue(std::move(env), coalescer_);
 }
 
@@ -50,13 +48,9 @@ Runtime::Runtime(RuntimeConfig config)
   for (RankId r = 0; r < config.num_ranks; ++r) {
     rank_rngs_.push_back(root.split(static_cast<std::uint64_t>(r)));
   }
-#if TLB_TELEMETRY_ENABLED
   // One sequence slot per rank plus the driver's (index num_ranks).
   causal_seq_.assign(static_cast<std::size_t>(config.num_ranks) + 1, 0);
-#endif
 }
-
-#if TLB_TELEMETRY_ENABLED
 
 void Runtime::stamp_causal(Envelope& env, RankId sender,
                            obs::CausalStamp const* cause) {
@@ -101,18 +95,14 @@ void Runtime::consume_traced(Envelope& env, RankContext& ctx) {
   obs::CausalLog::instance().record(event);
 }
 
-#endif // TLB_TELEMETRY_ENABLED
-
 void Runtime::post(RankId to, Handler handler, std::size_t bytes,
                    MessageKind kind) {
   TLB_EXPECTS(to >= 0 && to < num_ranks());
   stats_.record_send(false, bytes, kind);
   Envelope env{invalid_rank, to, bytes, std::move(handler), kind};
-#if TLB_TELEMETRY_ENABLED
   if (obs::enabled()) {
     stamp_causal(env, invalid_rank, nullptr);
   }
-#endif
   enqueue(std::move(env), nullptr);
 }
 
@@ -137,11 +127,9 @@ void Runtime::post_all(Handler const& handler) {
     local.record_send(false, 0, MessageKind::other);
     auto& mailbox = mailboxes_[static_cast<std::size_t>(r)];
     Envelope env{invalid_rank, r, 0, handler.clone(), MessageKind::other};
-#if TLB_TELEMETRY_ENABLED
     if (obs::enabled()) {
       stamp_causal(env, invalid_rank, nullptr);
     }
-#endif
     auto const depth = consumer ? mailbox.push_consumer(std::move(env))
                                 : mailbox.push(std::move(env));
     if (depth > local.max_mailbox_depth) {
@@ -158,14 +146,12 @@ void Runtime::post_delayed(RankId to, Handler handler,
   stats_.record_send(false, bytes, kind);
   Envelope env{invalid_rank, to, bytes, std::move(handler), kind,
                /*fault_exempt=*/true};
-#if TLB_TELEMETRY_ENABLED
   if (obs::enabled()) {
     // Retry triggers and other delayed work start fresh causal roots:
     // they model local scheduling, not wire traffic, so the chain they
     // spawn (e.g. a handshake resend) is attributed to the retry itself.
     stamp_causal(env, invalid_rank, nullptr);
   }
-#endif
   if (delay_polls == 0) {
     enqueue_direct(std::move(env), nullptr);
     return;
@@ -183,7 +169,6 @@ void Runtime::post_delayed(RankId to, Handler handler,
 
 void Runtime::enqueue(Envelope env, SendCoalescer* coalescer) {
   TLB_EXPECTS(env.to >= 0 && env.to < num_ranks());
-#if TLB_FAULT_ENABLED
   if (fault_ != nullptr && !env.fault_exempt) {
     FaultDecision const decision = fault_->on_send(env.from, env.to, env.kind);
     switch (decision.action) {
@@ -199,12 +184,10 @@ void Runtime::enqueue(Envelope env, SendCoalescer* coalescer) {
                       static_cast<int>(env.kind));
       Envelope clone{env.from, env.to, env.bytes, env.handler.clone(),
                      env.kind, /*fault_exempt=*/true};
-#if TLB_TELEMETRY_ENABLED
       // A duplicate IS the same logical message: it shares the original's
       // causal identity rather than consuming a fresh id, so the causal
       // graph (and the id sequence later sends observe) is unchanged.
       clone.cause = env.cause;
-#endif
       enqueue_direct(std::move(clone), coalescer);
       break; // the original still delivers below
     }
@@ -229,7 +212,6 @@ void Runtime::enqueue(Envelope env, SendCoalescer* coalescer) {
       break;
     }
   }
-#endif
   enqueue_direct(std::move(env), coalescer);
 }
 
@@ -347,7 +329,6 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
       polls_[slot].value.load(std::memory_order_relaxed) + 1;
   polls_[slot].value.store(poll, std::memory_order_relaxed);
   auto& mailbox = mailboxes_[slot];
-#if TLB_FAULT_ENABLED
   if (fault_ != nullptr) {
     switch (fault_->on_drain(rank, poll)) {
     case DrainGate::open:
@@ -359,7 +340,6 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
       return 0;
     }
   }
-#endif
   // The whole visit — releasing due delayed messages and claiming the
   // batch — is a single mailbox lock acquisition (zero when the consumer
   // stash already holds a full batch and no delays are pending).
@@ -385,12 +365,10 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
                                 if (!span) {
                                   span.emplace("rt", "drain");
                                 }
-#if TLB_TELEMETRY_ENABLED
                                 if (obs::enabled()) {
                                   consume_traced(env, ctx);
                                   return;
                                 }
-#endif
                                 env.handler.consume(ctx);
                               });
     if (span) {
@@ -409,16 +387,15 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
   }
   if (!worker.scratch.empty()) {
     TLB_SPAN_ARG("rt", "drain", "n", n);
-#if TLB_TELEMETRY_ENABLED
     if (obs::enabled()) {
       for (Envelope& env : worker.scratch) {
         consume_traced(env, ctx);
       }
-    } else
-#endif
+    } else {
       for (Envelope& env : worker.scratch) {
         env.handler.consume(ctx); // invoke + destroy in one dispatch
       }
+    }
   }
   // Flush the batch's coalesced sends before retiring the batch from the
   // in-flight counter: buffered messages were counted at append time, so
@@ -454,13 +431,11 @@ bool Runtime::run_until_quiescent(std::size_t max_polls) {
   }
   bool const aborted = abort_.load(std::memory_order_relaxed);
   if (aborted) {
-#if TLB_TELEMETRY_ENABLED
     if (obs::enabled()) {
       // Liveness valve tripped: capture the black box before the flush
       // below destroys the evidence of what was still in flight.
       (void)obs::dump_flight_record("quiesce_budget_exhausted");
     }
-#endif
     // Budget expired with work still in flight. No handler is executing
     // any more, so everything left lives in the mailboxes: flush it
     // (counted as dropped) so the runtime is reusable and in-flight is an

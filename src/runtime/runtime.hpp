@@ -142,14 +142,12 @@ public:
 
   [[nodiscard]] Runtime& runtime() { return *rt_; }
 
-#if TLB_TELEMETRY_ENABLED
   /// Causal stamp of the envelope currently being delivered on this
   /// context (null outside a delivery, or when telemetry was off at
   /// delivery time): the parent for every send the handler performs.
   [[nodiscard]] obs::CausalStamp const* current_cause() const {
     return cause_;
   }
-#endif
 
 private:
   friend class Runtime;
@@ -157,9 +155,7 @@ private:
   Runtime* rt_;
   RankId rank_;
   SendCoalescer* coalescer_;
-#if TLB_TELEMETRY_ENABLED
   obs::CausalStamp const* cause_ = nullptr;
-#endif
 };
 
 class Runtime {
@@ -218,21 +214,15 @@ public:
 
   /// Install (or remove, with nullptr) a fault-plane decision hook. The
   /// hook is consulted on every send and drain visit; the runtime does not
-  /// own it, so the caller must keep it alive until removed. Only
-  /// meaningful in builds configured with -DTLB_FAULT=ON; with the gate
-  /// off the call sites are compiled out and the hook is never consulted.
+  /// own it, so the caller must keep it alive until removed.
   void set_fault_hook(FaultHook* hook) { fault_ = hook; }
 
-  /// True when the fault gate is compiled in AND a hook is installed —
-  /// the condition under which the hardened (sequence-numbered, acked,
-  /// retried) protocol paths activate. With no fault plane the protocols
-  /// keep their historical fault-free message patterns bit-identically.
+  /// True when a hook is installed — the condition under which the
+  /// hardened (sequence-numbered, acked, retried) protocol paths activate.
+  /// With no fault plane the protocols keep their historical fault-free
+  /// message patterns bit-identically.
   [[nodiscard]] bool fault_active() const {
-#if TLB_FAULT_ENABLED
     return fault_ != nullptr;
-#else
-    return false;
-#endif
   }
 
   /// Record a protocol-level resend (retry) for per-kind accounting.
@@ -309,7 +299,6 @@ private:
     }
   }
 
-#if TLB_TELEMETRY_ENABLED
   /// Assign `env` its causal identity: a fresh deterministic id from the
   /// sender's sequence slot, chained to `cause` (the stamp of the message
   /// whose handler is sending) or rooted at the current LB step when
@@ -319,7 +308,6 @@ private:
   /// Deliver one envelope with causal context installed and the delivery
   /// recorded into the CausalLog (timestamps from the tracer clock).
   void consume_traced(Envelope& env, RankContext& ctx);
-#endif
 
   void enqueue(Envelope env, SendCoalescer* coalescer);
   /// The fault-oblivious tail of enqueue: counts the message in flight,
@@ -369,13 +357,11 @@ private:
   std::atomic<std::uint64_t> audit_enqueued_{0};
   std::atomic<std::uint64_t> audit_processed_{0};
   std::atomic<std::uint64_t> audit_purged_{0};
-#if TLB_TELEMETRY_ENABLED
   /// Per-sender causal sequence counters: slot r is advanced only by rank
   /// r's (serialized) handlers, slot P only by the driver thread, so
   /// plain non-atomic counters are race-free and the id assignment is
   /// deterministic under the sequential driver.
   std::vector<std::uint64_t> causal_seq_;
-#endif
 };
 
 } // namespace tlb::rt

@@ -19,13 +19,6 @@
 #include "obs/telemetry.hpp"
 #include "runtime/runtime.hpp"
 
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::fault {
 namespace {
 
@@ -49,8 +42,6 @@ FaultConfig single_kind(rt::MessageKind kind, double drop, double dup,
   k.delay_max_polls = 4;
   return cfg;
 }
-
-#if TLB_TELEMETRY_ENABLED
 
 class ScopedTelemetry {
 public:
@@ -78,7 +69,6 @@ void pump(rt::Runtime& rt, int fanout = 6) {
 }
 
 TEST(CausalFault, DuplicatesShareTheOriginalsId) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry scoped;
   rt::Runtime rt{rt_config(8)};
   auto plane =
@@ -114,7 +104,6 @@ TEST(CausalFault, DuplicatesShareTheOriginalsId) {
 }
 
 TEST(CausalFault, DelayedMessagesKeepTheirStamp) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry scoped;
   rt::Runtime rt{rt_config(8)};
   auto plane =
@@ -143,7 +132,6 @@ TEST(CausalFault, DelayedMessagesKeepTheirStamp) {
 }
 
 TEST(CausalFault, DropsLeaveSurvivorsWithValidChains) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry scoped;
   rt::Runtime rt{rt_config(8)};
   auto plane = install_fault_plane(
@@ -163,7 +151,6 @@ TEST(CausalFault, DropsLeaveSurvivorsWithValidChains) {
 }
 
 TEST(CausalFault, InjectedCrashDumpsFlightRecord) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry scoped;
   auto const path = ::testing::TempDir() + "fr_crash.json";
   std::remove(path.c_str());
@@ -190,8 +177,6 @@ TEST(CausalFault, InjectedCrashDumpsFlightRecord) {
   obs::set_flight_record_path("");
   obs::rearm_flight_recorder();
 }
-
-#endif // TLB_TELEMETRY_ENABLED
 
 } // namespace
 } // namespace tlb::fault

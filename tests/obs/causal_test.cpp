@@ -10,15 +10,6 @@
 #include "obs/telemetry.hpp"
 #include "runtime/runtime.hpp"
 
-// Stamping lives behind the telemetry gate: without it envelopes have no
-// CausalStamp member and the behavior under test does not exist.
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::obs {
 namespace {
 
@@ -44,8 +35,6 @@ rt::RuntimeConfig config(RankId ranks = 4) {
 // ---------------------------------------------------------------------
 // Runtime stamping
 // ---------------------------------------------------------------------
-
-#if TLB_TELEMETRY_ENABLED
 
 TEST(CausalStamping, RootPostsGetFreshIdsAndZeroParent) {
   ScopedTelemetry scoped;
@@ -145,10 +134,8 @@ TEST(CausalStamping, SeededRunsProduceIdenticalIdSequences) {
   EXPECT_EQ(a, b);
 }
 
-#endif // TLB_TELEMETRY_ENABLED
-
 // ---------------------------------------------------------------------
-// The reducer (pure function of the event list — no gate needed)
+// The reducer (pure function of the event list)
 // ---------------------------------------------------------------------
 
 CausalEvent make_event(std::uint64_t id, std::uint64_t parent,
@@ -256,7 +243,6 @@ TEST(CriticalPath, CyclicParentLinksTerminate) {
 // ---------------------------------------------------------------------
 
 TEST(CausalJson, WriteJsonParsesBackWithAllFields) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry scoped;
   CausalLog::instance().set_step(3);
   CausalLog::instance().record(

@@ -14,17 +14,8 @@
 #include "runtime/runtime.hpp"
 #include "support/check.hpp"
 
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::obs {
 namespace {
-
-#if TLB_TELEMETRY_ENABLED
 
 /// Telemetry + a scratch dump path + a re-armed recorder for one test;
 /// everything restored on exit.
@@ -171,16 +162,6 @@ TEST(FlightRecorderDeathTest, InvariantFailureDumpsBeforeAbort) {
   ASSERT_EQ(doc.at("timeline").array().size(), 1u);
   EXPECT_EQ(doc.at("timeline").array()[0].at("phase").num(), 5.0);
 }
-
-#else // !TLB_TELEMETRY_ENABLED
-
-TEST(FlightRecorder, CompiledOutApiIsInert) {
-  EXPECT_EQ(dump_flight_record("x"), "");
-  EXPECT_FALSE(flight_record_dumped());
-  EXPECT_EQ(flight_record_path(), "");
-}
-
-#endif // TLB_TELEMETRY_ENABLED
 
 } // namespace
 } // namespace tlb::obs

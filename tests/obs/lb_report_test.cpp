@@ -13,17 +13,6 @@
 #include "obs/telemetry.hpp"
 #include "support/rng.hpp"
 
-// The golden-run tests exercise runtime-collected introspection, which the
-// LB stack only feeds when the telemetry layer is compiled in — with
-// TLB_TELEMETRY=OFF the reports are structurally empty, so those tests
-// skip instead of comparing against a gate that folded away.
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::obs {
 namespace {
 
@@ -177,7 +166,6 @@ std::string golden_path() {
 }
 
 TEST(LbReportGolden, Seeded64RankRunMatchesGoldenFile) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   auto const actual = run_seeded_64rank_report();
 
   if (std::getenv("TLB_UPDATE_GOLDEN") != nullptr) {
@@ -199,7 +187,6 @@ TEST(LbReportGolden, Seeded64RankRunMatchesGoldenFile) {
 }
 
 TEST(LbReportGolden, RuntimeRunSatisfiesLemma1Monotonicity) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   auto const doc = test::parse_json(run_seeded_64rank_report());
   auto const& reports = doc.at("lb_reports").array();
   ASSERT_EQ(reports.size(), 1u);

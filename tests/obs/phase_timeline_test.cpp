@@ -12,13 +12,6 @@
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
 
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::obs {
 namespace {
 
@@ -201,7 +194,6 @@ public:
 };
 
 TEST(PhaseTimeline, LbManagerRecordsOneSamplePerInvocation) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   set_enabled(true);
   PhaseTimeline::instance().clear();
 

@@ -10,17 +10,6 @@
 #include "mini_json.hpp"
 #include "obs/telemetry.hpp"
 
-// Recording goes through the TLB_SPAN/TLB_INSTANT macros, which expand to
-// nothing when the telemetry layer is compiled out — the behavior under
-// test does not exist in that configuration, so those tests skip instead
-// of asserting on a gate that folded away.
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::obs {
 namespace {
 
@@ -49,7 +38,6 @@ TEST(Tracer, DisabledRecordsNothing) {
 }
 
 TEST(Tracer, SpanAndInstantRoundTripThroughChromeJson) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry telemetry;
   {
     TLB_SPAN_ARG("cat_a", "span_one", "n", 7);
@@ -94,7 +82,6 @@ TEST(Tracer, SpanAndInstantRoundTripThroughChromeJson) {
 }
 
 TEST(Tracer, SetArgAttachesMidScope) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry telemetry;
   {
     SpanGuard span{"test", "late_arg"};
@@ -109,7 +96,6 @@ TEST(Tracer, SetArgAttachesMidScope) {
 }
 
 TEST(Tracer, ClearResetsEventsAndDropCounts) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry telemetry;
   TLB_INSTANT("test", "one");
   EXPECT_EQ(Tracer::instance().event_count(), 1u);
@@ -128,7 +114,6 @@ TEST(Tracer, TimestampsAreMonotonicWithinAThread) {
 }
 
 TEST(Tracer, ConcurrentRecordingKeepsEveryEvent) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry telemetry;
   constexpr int num_threads = 4;
   constexpr int per_thread = 1000;
@@ -164,7 +149,6 @@ TEST(Tracer, ConcurrentRecordingKeepsEveryEvent) {
 }
 
 TEST(Tracer, OverflowDropsNewestAndCounts) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   ScopedTelemetry telemetry;
   auto const cap = Tracer::max_events_per_thread;
   for (std::size_t i = 0; i < cap + 100; ++i) {

@@ -142,7 +142,12 @@ TEST(MakePolicy, ParsesEverySpecFamily) {
   EXPECT_EQ(make_policy("always")->name(), "always");
   EXPECT_EQ(make_policy("never")->name(), "never");
   EXPECT_EQ(make_policy("every-4")->name(), "every-4");
+  EXPECT_EQ(make_policy("every-1")->name(), "every-1");
+  EXPECT_EQ(make_policy("every-18446744073709551615")->name(),
+            "every-18446744073709551615");
   EXPECT_EQ(make_policy("threshold-0.5")->name(), "threshold-0.50");
+  EXPECT_EQ(make_policy("threshold-0")->name(), "threshold-0.00");
+  EXPECT_EQ(make_policy("threshold-1e-3")->name(), "threshold-0.00");
   EXPECT_EQ(make_policy("costbenefit")->name(), "costbenefit-persistence");
   EXPECT_EQ(make_policy("costbenefit-trend")->name(), "costbenefit-trend");
   EXPECT_EQ(make_policy("costbenefit-ema")->name(), "costbenefit-ema");
@@ -150,10 +155,24 @@ TEST(MakePolicy, ParsesEverySpecFamily) {
 
 TEST(MakePolicy, RejectsMalformedSpecs) {
   EXPECT_THROW((void)make_policy("sometimes"), std::invalid_argument);
-  EXPECT_THROW((void)make_policy("every-0"), std::invalid_argument);
-  EXPECT_THROW((void)make_policy("every-x"), std::invalid_argument);
   EXPECT_THROW((void)make_policy("costbenefit-kalman"),
                std::invalid_argument);
+  // every-k: k is an integer >= 1, written out in full. Fractions,
+  // exponents, signs, non-finite values and out-of-range integers are
+  // malformed, not rounded, wrapped or converted.
+  for (char const* spec :
+       {"every-0", "every-x", "every-", "every-2.5", "every-4.0", "every-1e30",
+        "every-inf", "every-nan", "every--1", "every-+3", "every-4 ",
+        "every-18446744073709551616"}) {
+    EXPECT_THROW((void)make_policy(spec), std::invalid_argument) << spec;
+  }
+  // threshold-λ: λ is a finite number >= 0.
+  for (char const* spec :
+       {"threshold-", "threshold-x", "threshold--0.5", "threshold--0",
+        "threshold-nan", "threshold-inf", "threshold--inf", "threshold-1e400",
+        "threshold-0.5x"}) {
+    EXPECT_THROW((void)make_policy(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(PolicySpecs, AreAllParseable) {

@@ -203,9 +203,6 @@ TEST_P(ObjectStoreMigratePath, PayloadLeavesOriginAndArrivesAtDestination) {
   MigrationDropper deliver_all{false};
   if (fault_active) {
     rt.set_fault_hook(&deliver_all);
-    if (!rt.fault_active()) {
-      GTEST_SKIP() << "fault plane compiled out (TLB_FAULT=OFF)";
-    }
   }
   ObjectStore store{4};
   for (TaskId t = 0; t < 8; ++t) {
@@ -247,9 +244,6 @@ TEST(ObjectStore, RolledBackTaskReturnsToSortedPosition) {
   Runtime rt{config(2)};
   MigrationDropper drop_all{true};
   rt.set_fault_hook(&drop_all);
-  if (!rt.fault_active()) {
-    GTEST_SKIP() << "fault plane compiled out (TLB_FAULT=OFF)";
-  }
   ObjectStore store{2};
   for (TaskId const id : {2, 5, 8}) {
     store.create(0, id, std::make_unique<Blob>(8, static_cast<int>(id)));

@@ -94,8 +94,16 @@ TEST(Match, DirScopingRestrictsRules) {
   EXPECT_EQ(lint("src/lb/x.cpp", "std::function<void()> f;").size(), 0u);
   EXPECT_EQ(lint("src/runtime/x.cpp", "std::function<void()> f;").size(),
             1u);
-  // Nothing applies outside src/.
+  // The src/-scoped rules are silent outside src/.
   EXPECT_EQ(lint("bench/x.cpp", "std::mutex m; rand();").size(), 0u);
+  // no-removed-gate covers every compiled tree, but not tools/ (its own
+  // rule table) or perfbench/ (which still defines two of the macros).
+  for (std::string_view path :
+       {"src/x.cpp", "tests/x.cpp", "bench/x.cpp", "examples/x.cpp"}) {
+    EXPECT_EQ(lint(path, "#if TLB_TELEMETRY_ENABLED").size(), 1u) << path;
+  }
+  EXPECT_EQ(lint("tools/x.cpp", "#if TLB_TELEMETRY_ENABLED").size(), 0u);
+  EXPECT_EQ(lint("perfbench/x.cpp", "#if TLB_TELEMETRY_ENABLED").size(), 0u);
 }
 
 TEST(Match, SuppressionExemptsOnlyTheNamedRuleOnThatLine) {
@@ -142,13 +150,14 @@ TEST(Match, AssertRuleIgnoresStaticAssertAndContractMacros) {
 TEST(Fixtures, CorpusProducesExactlyThePinnedViolations) {
   auto const got =
       lint_tree(std::string{TLB_SOURCE_DIR} + "/tools/tlb_lint/fixtures",
-                {"src"});
+                {"src", "tests", "bench", "examples"});
   std::vector<std::string> keys;
   keys.reserve(got.size());
   for (auto const& v : got) {
     keys.push_back(v.file + ":" + std::to_string(v.line) + ":" + v.rule);
   }
   std::vector<std::string> const expected = {
+      "bench/bad_gate.cpp:6:no-removed-gate",
       "src/lb/bad_assert.cpp:6:invariant-not-assert",
       "src/lb/bad_clock.cpp:7:no-wall-clock",
       "src/lb/bad_clock.cpp:8:no-wall-clock",
@@ -160,6 +169,10 @@ TEST(Fixtures, CorpusProducesExactlyThePinnedViolations) {
       "src/lb/bad_random.cpp:7:no-unseeded-rand",
       "src/lb/bad_random.cpp:8:no-unseeded-rand",
       "src/lb/bad_random.cpp:9:no-unseeded-rand",
+      "src/runtime/bad_gate.cpp:4:no-removed-gate",
+      "src/runtime/bad_gate.cpp:7:no-removed-gate",
+      "src/runtime/bad_gate.cpp:8:no-removed-gate",
+      "src/runtime/bad_gate.cpp:10:no-removed-gate",
       "src/runtime/bad_handler.cpp:7:no-std-function",
       "src/runtime/bad_sync.cpp:4:no-raw-mutex",
       "src/runtime/bad_sync.cpp:5:no-volatile",
@@ -170,11 +183,13 @@ TEST(Fixtures, CorpusProducesExactlyThePinnedViolations) {
 
 // ---------------------------------------------------------------------
 // The real tree must be clean — the same check CI and scripts/lint.sh
-// enforce, kept here so `ctest` alone catches a violation too.
+// enforce, kept here so `ctest` alone catches a violation too. It walks
+// every compiled tree, not only src/, for no-removed-gate's sake.
 // ---------------------------------------------------------------------
 
 TEST(RealTree, SrcHasZeroViolations) {
-  auto const got = lint_tree(TLB_SOURCE_DIR, {"src"});
+  auto const got =
+      lint_tree(TLB_SOURCE_DIR, {"src", "tests", "bench", "examples"});
   for (auto const& v : got) {
     ADD_FAILURE() << v.file << ":" << v.line << ": [" << v.rule << "] "
                   << v.message;
@@ -183,7 +198,7 @@ TEST(RealTree, SrcHasZeroViolations) {
 
 TEST(Rules, CatalogueIsWellFormed) {
   auto const& rules = default_rules();
-  ASSERT_GE(rules.size(), 6u);
+  ASSERT_GE(rules.size(), 8u);
   std::vector<std::string> ids;
   for (auto const& rule : rules) {
     EXPECT_FALSE(rule.id.empty());

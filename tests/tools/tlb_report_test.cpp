@@ -23,13 +23,6 @@
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
 
-#if TLB_TELEMETRY_ENABLED
-#define TLB_SKIP_WITHOUT_TELEMETRY() (void)0
-#else
-#define TLB_SKIP_WITHOUT_TELEMETRY()                                           \
-  GTEST_SKIP() << "telemetry compiled out (TLB_TELEMETRY=OFF)"
-#endif
-
 namespace tlb::report {
 namespace {
 
@@ -176,8 +169,6 @@ TEST(Renderer, FlightRecordHeaderRendered) {
 // Golden postmortem from a seeded 64-rank multi-phase run
 // ---------------------------------------------------------------------
 
-#if TLB_TELEMETRY_ENABLED
-
 class Payload final : public rt::Migratable {
 public:
   [[nodiscard]] std::size_t wire_bytes() const override { return 128; }
@@ -251,7 +242,6 @@ std::string golden_path() {
 }
 
 TEST(TlbReportGolden, Seeded64RankPostmortemMatchesGoldenFile) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   auto const actual = render_seeded_postmortem();
   // The stable postmortem must include both acceptance sections.
   EXPECT_NE(actual.find("Critical path"), std::string::npos);
@@ -277,13 +267,10 @@ TEST(TlbReportGolden, Seeded64RankPostmortemMatchesGoldenFile) {
 }
 
 TEST(TlbReportGolden, PostmortemIsDeterministicAcrossRuns) {
-  TLB_SKIP_WITHOUT_TELEMETRY();
   auto const a = render_seeded_postmortem();
   auto const b = render_seeded_postmortem();
   EXPECT_EQ(a, b);
 }
-
-#endif // TLB_TELEMETRY_ENABLED
 
 } // namespace
 } // namespace tlb::report

@@ -274,7 +274,7 @@ std::vector<Rule> const& default_rules() {
           {"src/runtime/"},
           {},
           "std::function heap-allocates captured state per message: runtime "
-          "hot paths must use rt::InlineHandler (SBO, counted fallback)",
+          "hot paths must use rt::InlineHandler (SBO, never allocates)",
       },
       {
           "no-raw-mutex",
@@ -318,6 +318,21 @@ std::vector<Rule> const& default_rules() {
           "stamping and fault-exemption accounting: send through "
           "RankContext::send / Runtime::post so the runtime owns envelope "
           "creation",
+      },
+      {
+          "no-removed-gate",
+          // The main build defines none of these, so `#if` on one silently
+          // takes the off branch, while perfbench/CMakeLists.txt still
+          // defines two of them as 1: a leftover gate would make tier-1 and
+          // the benchmark compile different programs.
+          {"TLB_TELEMETRY_ENABLED", "TLB_FAULT_ENABLED",
+           "TLB_STRICT_SBO_ENABLED"},
+          {"src/", "tests/", "bench/", "examples/"},
+          {},
+          "the telemetry, fault and strict-SBO compile gates are gone and "
+          "nothing defines these macros in the main build: telemetry and "
+          "the fault plane are always compiled in, so branch at run time "
+          "on obs::enabled() or Runtime::fault_active() instead",
       },
   };
   return rules;
