@@ -1,10 +1,10 @@
 /// \file micro_strategies.cpp
-/// M5 — strategy-cost scaling: wall-clock cost of one balance() call per
-/// strategy as rank count grows, with quality and traffic counters. This
-/// is the engineering side of §IV's centralized/hierarchical/distributed
-/// scalability discussion: GreedyLB's cost concentrates at rank 0, HierLB
-/// splits it across leaders, and the gossip schemes pay only O(f*k)
-/// messages per rank.
+/// Strategy-cost scaling: wall-clock cost of one balance() call for each
+/// of the paper's four balancers as rank count grows, with quality and
+/// traffic counters. This is the engineering side of §IV's
+/// centralized/hierarchical/distributed scalability discussion: GreedyLB's
+/// cost concentrates at rank 0, HierLB splits it across leaders, and the
+/// gossip schemes pay only O(f*k) messages per rank.
 
 #include <benchmark/benchmark.h>
 
@@ -63,12 +63,6 @@ void BM_Grapevine(benchmark::State& state) {
 }
 void BM_Greedy(benchmark::State& state) { run_strategy(state, "greedy"); }
 void BM_Hier(benchmark::State& state) { run_strategy(state, "hier"); }
-void BM_Diffusion(benchmark::State& state) {
-  run_strategy(state, "diffusion");
-}
-void BM_Stealing(benchmark::State& state) {
-  run_strategy(state, "stealing");
-}
 
 BENCHMARK(BM_Tempered)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
@@ -77,10 +71,6 @@ BENCHMARK(BM_Grapevine)->Arg(16)->Arg(64)->Arg(256)
 BENCHMARK(BM_Greedy)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Hier)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Diffusion)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Stealing)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -96,7 +96,9 @@ BENCHMARK(BM_TransferRecomputeByKnowledge)
     ->ArgsProduct({{24, 256, 2048}, {16, 256, 4096}});
 
 void BM_TransferIncrementalByKnowledge(benchmark::State& state) {
-  run_knowledge_case(state, LbParams::tempered_fast());
+  auto params = LbParams::tempered();
+  params.refresh = CmfRefresh::incremental;
+  run_knowledge_case(state, params);
 }
 BENCHMARK(BM_TransferIncrementalByKnowledge)
     ->ArgsProduct({{24, 256, 2048}, {16, 256, 4096}});

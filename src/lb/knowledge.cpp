@@ -205,7 +205,12 @@ Knowledge Knowledge::unpack(rt::Unpacker& unpacker) {
 }
 
 void Knowledge::unpack_into(rt::Unpacker& unpacker) {
-  auto const n = static_cast<std::size_t>(unpacker.unpack_varint());
+  // The count is untrusted: every entry costs at least a 1-byte gap varint
+  // plus its load, so reject a count the payload cannot hold before it
+  // sizes the entry vector.
+  auto const count = unpacker.unpack_varint();
+  TLB_EXPECTS(count <= unpacker.remaining() / (1 + sizeof(LoadType)));
+  auto const n = static_cast<std::size_t>(count);
   entries_.clear();
   entries_.resize(n);
   std::int64_t prev = -1;

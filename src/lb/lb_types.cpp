@@ -27,12 +27,6 @@ LbParams LbParams::tempered() {
   return p;
 }
 
-LbParams LbParams::tempered_fast() {
-  LbParams p = tempered();
-  p.refresh = CmfRefresh::incremental;
-  return p;
-}
-
 std::string_view to_string(CmfKind kind) {
   switch (kind) {
   case CmfKind::original: return "original";

@@ -105,11 +105,10 @@ struct LbParams {
   [[nodiscard]] static LbParams grapevine();
   /// The paper's TemperedLB configuration (§V; Fig. 2 uses
   /// fewest_migrations with 10 trials x 8 iterations). Uses the
-  /// recompute-per-candidate CMF, the reference path.
+  /// recompute-per-candidate CMF, the reference path; set refresh to
+  /// CmfRefresh::incremental for the Fenwick-backed CMF (same algorithm,
+  /// O(log |S^p|) instead of O(|S^p|) per candidate).
   [[nodiscard]] static LbParams tempered();
-  /// TemperedLB with the Fenwick-backed incremental CMF: same algorithm,
-  /// O(log |S^p|) instead of O(|S^p|) per candidate in the transfer loop.
-  [[nodiscard]] static LbParams tempered_fast();
 };
 
 [[nodiscard]] std::string_view to_string(CmfKind kind);

@@ -164,8 +164,6 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
     params.num_iterations = base.num_iterations;
     params.num_trials = base.num_trials;
     accept_always = true;
-  } else if (flavor_ == Flavor::tempered_fast) {
-    params.refresh = CmfRefresh::incremental;
   }
   TLB_EXPECTS(params.rounds >= 1 && params.rounds <= 63);
 

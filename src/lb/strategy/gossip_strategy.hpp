@@ -19,11 +19,10 @@
 /// point: one trial, one iteration, original criterion and CMF built once,
 /// arbitrary order, and unconditional acceptance of the outcome.
 ///
-/// tempered_fast is TemperedLB with the Fenwick-backed incremental CMF
-/// (CmfRefresh::incremental) pinned: identical protocol and criterion, the
-/// per-candidate CMF maintenance drops from O(|S^p|) to O(log |S^p|). The
-/// plain tempered flavor keeps recompute as the reference path for
-/// cross-validation.
+/// TemperedLB takes its CMF refresh mode from the caller's LbParams:
+/// recompute (the tempered() preset) is the reference path, and
+/// CmfRefresh::incremental runs the same protocol and criterion with the
+/// Fenwick-backed CMF, O(log |S^p|) instead of O(|S^p|) per candidate.
 
 #include "lb/knowledge.hpp"
 #include "lb/strategy/strategy.hpp"
@@ -32,17 +31,12 @@ namespace tlb::lb {
 
 class GossipStrategy final : public Strategy {
 public:
-  enum class Flavor { grapevine, tempered, tempered_fast };
+  enum class Flavor { grapevine, tempered };
 
   explicit GossipStrategy(Flavor flavor) : flavor_{flavor} {}
 
   [[nodiscard]] std::string_view name() const override {
-    switch (flavor_) {
-    case Flavor::grapevine: return "grapevine";
-    case Flavor::tempered: return "tempered";
-    case Flavor::tempered_fast: return "tempered_fast";
-    }
-    return "?";
+    return flavor_ == Flavor::grapevine ? "grapevine" : "tempered";
   }
 
   [[nodiscard]] StrategyResult balance(rt::Runtime& rt,

@@ -3,12 +3,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "lb/strategy/baselines.hpp"
-#include "lb/strategy/diffusion.hpp"
 #include "lb/strategy/gossip_strategy.hpp"
 #include "lb/strategy/greedy.hpp"
 #include "lb/strategy/hier.hpp"
-#include "lb/strategy/stealing.hpp"
 #include "support/assert.hpp"
 
 namespace tlb::lb {
@@ -21,14 +18,6 @@ std::vector<LoadType> StrategyInput::rank_loads() const {
     }
   }
   return loads;
-}
-
-std::size_t StrategyInput::total_tasks() const {
-  std::size_t n = 0;
-  for (auto const& rank_tasks : tasks) {
-    n += rank_tasks.size();
-  }
-  return n;
 }
 
 std::vector<LoadType>
@@ -49,10 +38,6 @@ std::unique_ptr<Strategy> make_strategy(std::string_view name) {
   if (name == "tempered") {
     return std::make_unique<GossipStrategy>(GossipStrategy::Flavor::tempered);
   }
-  if (name == "tempered_fast") {
-    return std::make_unique<GossipStrategy>(
-        GossipStrategy::Flavor::tempered_fast);
-  }
   if (name == "grapevine") {
     return std::make_unique<GossipStrategy>(
         GossipStrategy::Flavor::grapevine);
@@ -63,24 +48,11 @@ std::unique_ptr<Strategy> make_strategy(std::string_view name) {
   if (name == "hier") {
     return std::make_unique<HierStrategy>();
   }
-  if (name == "stealing") {
-    return std::make_unique<StealingStrategy>();
-  }
-  if (name == "diffusion") {
-    return std::make_unique<DiffusionStrategy>();
-  }
-  if (name == "rotate") {
-    return std::make_unique<RotateStrategy>();
-  }
-  if (name == "random") {
-    return std::make_unique<RandomStrategy>();
-  }
   throw std::invalid_argument("unknown strategy '" + std::string{name} + "'");
 }
 
 std::vector<std::string_view> strategy_names() {
-  return {"tempered", "tempered_fast", "grapevine", "greedy", "hier",
-          "diffusion", "stealing",     "rotate",    "random"};
+  return {"tempered", "grapevine", "greedy", "hier"};
 }
 
 } // namespace tlb::lb

@@ -27,8 +27,6 @@ struct StrategyInput {
   }
   /// Sum of task loads per rank.
   [[nodiscard]] std::vector<LoadType> rank_loads() const;
-  /// Total number of tasks across ranks.
-  [[nodiscard]] std::size_t total_tasks() const;
 };
 
 /// Cost accounting for the LB invocation itself (feeds t_lb).
@@ -82,17 +80,13 @@ protected:
   obs::LbReportBuilder* introspection_ = nullptr;
 };
 
-/// Factory over all registered strategies:
+/// Factory over the paper's four balancers (Fig. 2/3):
 ///   "tempered"  — this paper's TemperedLB (gossip, relaxed criterion)
-///   "tempered_fast" — TemperedLB with the incremental (Fenwick-backed)
-///                 CMF: O(log |S^p|) per transfer candidate
 ///   "grapevine" — the original GrapevineLB configuration
 ///   "greedy"    — centralized LPT (GreedyLB)
 ///   "hier"      — hierarchical two-level balancer (HierLB)
-///   "diffusion" — classical neighborhood diffusion (limited-information
-///                 distributed baseline, §IV-A's cautionary class)
-///   "rotate"    — cyclic-shift baseline (testing)
-///   "random"    — random placement baseline (testing)
+/// TemperedLB's incremental (Fenwick-backed) CMF is a parameter, not a
+/// name: set LbParams::refresh = CmfRefresh::incremental.
 /// Throws std::invalid_argument for unknown names.
 [[nodiscard]] std::unique_ptr<Strategy> make_strategy(std::string_view name);
 

@@ -7,7 +7,7 @@
 /// imbalance trajectory.
 ///
 /// The transfer stage honors every CmfRefresh mode, including the
-/// Fenwick-backed incremental CMF (LbParams::tempered_fast()); the
+/// Fenwick-backed incremental CMF (CmfRefresh::incremental); the
 /// recompute mode stays the reference for the published tables and for
 /// cross-validating the incremental path (see
 /// tests/lbaf/incremental_regression_test.cpp).

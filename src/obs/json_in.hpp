@@ -6,7 +6,8 @@
 /// null). Originally the telemetry tests' mini_json helper, promoted here
 /// so tools/tlb_report can ingest trace/metrics/timeline documents with
 /// the same code the tests assert round-trips with. Throws
-/// std::runtime_error on malformed input.
+/// std::runtime_error on malformed input, including arrays and objects
+/// nested deeper than JsonParser::kMaxDepth.
 
 #include <cctype>
 #include <cstdlib>
@@ -62,6 +63,11 @@ struct JsonValue {
 
 class JsonParser {
 public:
+  /// Deepest array/object nesting accepted: the obs layer emits at most 5
+  /// levels, and the cap keeps hostile input from overflowing the stack
+  /// (the parser recurses once per level).
+  static constexpr std::size_t kMaxDepth = 64;
+
   explicit JsonParser(std::string_view text) : text_{text} {}
 
   [[nodiscard]] JsonValue parse() {
@@ -111,8 +117,16 @@ private:
 
   JsonValue parse_value() {
     switch (peek()) {
-    case '{': return parse_object();
-    case '[': return parse_array();
+    case '{':
+    case '[': {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      auto value = text_[pos_] == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     case '"': return JsonValue{parse_string()};
     case 't':
       if (consume_literal("true")) {
@@ -239,6 +253,7 @@ private:
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 [[nodiscard]] inline JsonValue parse_json(std::string_view text) {

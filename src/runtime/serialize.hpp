@@ -164,6 +164,10 @@ public:
 
   /// Bytes consumed so far.
   [[nodiscard]] std::size_t consumed() const { return offset_; }
+  /// Bytes not yet consumed.
+  [[nodiscard]] std::size_t remaining() const {
+    return bytes_.size() - offset_;
+  }
   /// True when every byte has been consumed (a useful postcondition).
   [[nodiscard]] bool exhausted() const { return offset_ == bytes_.size(); }
 

@@ -183,5 +183,17 @@ TEST(KnowledgeDelta, UnpackIntoRestampsFromOne) {
   EXPECT_FALSE(inbox.contains(9));
 }
 
+TEST(KnowledgeDeltaDeath, EntryCountBeyondThePayloadAbortsBeforeSizing) {
+  // A hostile count of 2^20 entries in a 5-byte payload: decoding must
+  // reject it on the size check, not allocate 2^20 entries and fail later
+  // on a truncated read.
+  rt::Packer p;
+  p.pack_varint(std::uint64_t{1} << 20);
+  p.pack(std::uint16_t{0});
+  Knowledge inbox;
+  rt::Unpacker u{p.bytes()};
+  EXPECT_DEATH(inbox.unpack_into(u), "remaining\\(\\)");
+}
+
 } // namespace
 } // namespace tlb::lb

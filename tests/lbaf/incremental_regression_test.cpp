@@ -52,11 +52,12 @@ TEST(IncrementalRegression, E2TableIsUnchangedUnderIncrementalCmf) {
 }
 
 TEST(IncrementalRegression, TemperedFastPresetMatchesTempered) {
-  // The packaged preset differs from tempered() only in the refresh mode,
-  // and reproduces its full multi-trial trajectory.
+  // The tempered() preset with only the refresh mode switched to
+  // incremental reproduces its full multi-trial trajectory.
   auto const workload = vb_workload();
   auto reference = lb::LbParams::tempered();
-  auto fast = lb::LbParams::tempered_fast();
+  auto fast = lb::LbParams::tempered();
+  fast.refresh = lb::CmfRefresh::incremental;
   reference.num_trials = 2;
   reference.num_iterations = 4;
   fast.num_trials = 2;

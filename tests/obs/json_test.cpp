@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "mini_json.hpp"
 
@@ -76,6 +79,44 @@ TEST(JsonWriter, EscapesKeysAndValues) {
   w.end_object();
   auto const doc = test::parse_json(os.str());
   EXPECT_EQ(doc.at("a\"key").str(), "line\nbreak");
+}
+
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParserDepth, AcceptsNestingUpToTheCap) {
+  auto doc = test::parse_json(nested_arrays(JsonParser::kMaxDepth));
+  std::size_t depth = 1;
+  while (!doc.array().empty()) {
+    JsonValue const inner = doc.array()[0];
+    doc = inner;
+    ++depth;
+  }
+  EXPECT_EQ(depth, JsonParser::kMaxDepth);
+}
+
+TEST(JsonParserDepth, RejectsNestingPastTheCap) {
+  auto const too_deep = nested_arrays(JsonParser::kMaxDepth + 1);
+  EXPECT_THROW((void)test::parse_json(too_deep), std::runtime_error);
+  // Objects count toward the same cap.
+  EXPECT_THROW((void)test::parse_json("{\"a\":" +
+                                      nested_arrays(JsonParser::kMaxDepth) +
+                                      "}"),
+               std::runtime_error);
+  // Deep enough to overflow the stack without the cap.
+  EXPECT_THROW((void)test::parse_json(std::string(100000, '[')),
+               std::runtime_error);
+}
+
+TEST(JsonParserDepth, GoldenFileStillParses) {
+  std::ifstream in{std::string{TLB_SOURCE_DIR} +
+                   "/tests/obs/golden/lb_report_64.json"};
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  auto const doc = test::parse_json(text.str());
+  EXPECT_FALSE(doc.at("lb_reports").array().empty());
 }
 
 TEST(OpenOutputFile, MissingDirectoryNamesPathAndErrno) {

@@ -230,9 +230,9 @@ TEST(GossipLB, ThreadedDriverProducesValidResult) {
 }
 
 TEST(TemperedFastLB, MatchesTemperedDecisionForDecision) {
-  // The incremental-CMF flavor runs the same protocol over the same rng
+  // The incremental CMF runs the same protocol over the same rng
   // streams; with an identical runtime seed it must reproduce the
-  // reference flavor's migrations exactly (a sampling divergence would
+  // recompute reference's migrations exactly (a sampling divergence would
   // mean the Fenwick path drew a different recipient).
   auto const input = clustered_input(48, 3, 40, 23);
   auto params = LbParams::tempered();
@@ -244,9 +244,11 @@ TEST(TemperedFastLB, MatchesTemperedDecisionForDecision) {
   GossipStrategy reference{GossipStrategy::Flavor::tempered};
   auto const a = reference.balance(rt1, input, params);
 
+  auto incremental = params;
+  incremental.refresh = CmfRefresh::incremental;
   rt::Runtime rt2{config(48)};
-  GossipStrategy fast{GossipStrategy::Flavor::tempered_fast};
-  auto const b = fast.balance(rt2, input, params);
+  GossipStrategy fast{GossipStrategy::Flavor::tempered};
+  auto const b = fast.balance(rt2, input, incremental);
 
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_DOUBLE_EQ(a.achieved_imbalance, b.achieved_imbalance);
