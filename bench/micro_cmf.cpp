@@ -1,12 +1,11 @@
 /// \file micro_cmf.cpp
-/// M2 — microbenchmarks of the CMF build and sampling paths. The
-/// recompute-per-candidate change (§V-A change #3) multiplies BUILDCMF
-/// calls by the number of candidate tasks, so its absolute cost matters.
+/// M2 — microbenchmarks of the CMF build and sampling paths. Under the
+/// recompute change (§V-A change #3) the transfer loop rebuilds the CMF
+/// after every accepted transfer, so the absolute cost of a build matters.
 
 #include <benchmark/benchmark.h>
 
 #include "lb/cmf.hpp"
-#include "lb/incremental_cmf.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -49,10 +48,10 @@ void BM_CmfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_CmfSample)->Arg(16)->Arg(256)->Arg(4096);
 
-/// One transfer-candidate step under CmfRefresh::recompute: rebuild the
+/// One accepted-transfer step under CmfRefresh::recompute: rebuild the
 /// CMF from n-rank knowledge, sample a recipient, and commit a speculative
-/// delta — O(n) per candidate. Baseline for BM_CmfIncrementalUpdate. The
-/// +d/−d delta pair keeps the state steady so the loop never saturates.
+/// delta — O(n) per accepted transfer. The +d/−d delta pair keeps the
+/// state steady so the loop never saturates.
 void BM_CmfRecomputeStep(benchmark::State& state) {
   auto const n = static_cast<std::size_t>(state.range(0));
   auto k = make_knowledge(n, 42);
@@ -68,26 +67,6 @@ void BM_CmfRecomputeStep(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_CmfRecomputeStep)->Arg(16)->Arg(256)->Arg(4096);
-
-/// The same candidate step under CmfRefresh::incremental: sample via the
-/// Fenwick prefix search and point-update the recipient's weight in place
-/// — O(log n) per candidate. The acceptance bar is ≥10x over
-/// BM_CmfRecomputeStep at 4096-rank knowledge.
-void BM_CmfIncrementalUpdate(benchmark::State& state) {
-  auto const n = static_cast<std::size_t>(state.range(0));
-  auto const k = make_knowledge(n, 42);
-  IncrementalCmf inc{CmfKind::modified, k.entries(), 1.0, 0};
-  Rng rng{7};
-  for (auto _ : state) {
-    RankId const target = inc.sample(rng);
-    inc.add_load(target, 0.01);
-    inc.add_load(target, -0.01);
-    benchmark::DoNotOptimize(inc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CmfIncrementalUpdate)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_KnowledgeMerge(benchmark::State& state) {
   auto const n = static_cast<std::size_t>(state.range(0));

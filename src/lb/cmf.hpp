@@ -22,8 +22,9 @@
 
 namespace tlb::lb {
 
-/// A built CMF over a snapshot of known ranks. Value type: cheap to rebuild
-/// every candidate when CmfRefresh::recompute is selected.
+/// A built CMF over a snapshot of known ranks. Value type, and a pure
+/// function of its constructor arguments (it draws no random numbers), so
+/// the transfer loop rebuilds it only when the knowledge has changed.
 class Cmf {
 public:
   /// Build from the current knowledge. `self` is excluded (a rank never

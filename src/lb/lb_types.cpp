@@ -39,7 +39,6 @@ std::string_view to_string(CmfRefresh refresh) {
   switch (refresh) {
   case CmfRefresh::build_once: return "build_once";
   case CmfRefresh::recompute: return "recompute";
-  case CmfRefresh::incremental: return "incremental";
   }
   return "?";
 }

@@ -26,15 +26,14 @@ struct TaskEntry {
 enum class CmfKind : std::uint8_t { original, modified };
 
 /// When to (re)build the CMF during the transfer loop (§V-A, change #3).
-///   build_once:  once before the loop (GrapevineLB, Algorithm 2 line 5)
-///   recompute:   before every candidate task (TemperedLB, line 7);
-///                O(|S^p|) per candidate — the reference path
-///   incremental: TemperedLB semantics via IncrementalCmf — the
-///                distribution is point-updated in O(log |S^p|) as
-///                speculative transfers land, with a full rebuild only on
-///                normalizer shifts; equivalent to recompute up to
-///                floating-point rounding at sampling-bucket boundaries
-enum class CmfRefresh : std::uint8_t { build_once, recompute, incremental };
+///   build_once: once, over the knowledge the loop starts with
+///               (GrapevineLB, Algorithm 2 line 5)
+///   recompute:  over the current speculative knowledge at every candidate
+///               (TemperedLB, line 7). Only an accepted transfer changes
+///               that knowledge, so run_transfer rebuilds after each
+///               accepted transfer and reuses the CMF otherwise; the draws
+///               equal a per-candidate rebuild's bit for bit.
+enum class CmfRefresh : std::uint8_t { build_once, recompute };
 
 /// Transfer-acceptance criterion (Algorithm 2, EVALUATECRITERION).
 ///   original: l_x + LOAD(o) < l_ave  (line 35, GrapevineLB)
@@ -104,10 +103,8 @@ struct LbParams {
   /// The original GrapevineLB configuration (§IV-B).
   [[nodiscard]] static LbParams grapevine();
   /// The paper's TemperedLB configuration (§V; Fig. 2 uses
-  /// fewest_migrations with 10 trials x 8 iterations). Uses the
-  /// recompute-per-candidate CMF, the reference path; set refresh to
-  /// CmfRefresh::incremental for the Fenwick-backed CMF (same algorithm,
-  /// O(log |S^p|) instead of O(|S^p|) per candidate).
+  /// fewest_migrations with 10 trials x 8 iterations), with the
+  /// recompute CMF.
   [[nodiscard]] static LbParams tempered();
 };
 

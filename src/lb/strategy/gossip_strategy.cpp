@@ -142,6 +142,43 @@ void send_proposal(std::shared_ptr<Shared> const& shared,
       rt::MessageKind::transfer);
 }
 
+/// One rank's transfer pass (Algorithm 2), shared by both transfer epochs.
+/// If the rank is overloaded, run the pass over its speculative tasks,
+/// report it, and remove each proposed task from the rank, handing the
+/// task and its recipient to `propose` in proposal order. Each epoch's
+/// `propose` does its own delivery.
+template <class Propose>
+void transfer_pass(Shared& shared, rt::RankContext& ctx,
+                   Propose const& propose) {
+  auto& st = shared.states[static_cast<std::size_t>(ctx.rank())];
+  if (st.load <= shared.threshold * shared.l_ave) {
+    return;
+  }
+  std::vector<TaskEntry> entries;
+  entries.reserve(st.tasks.size());
+  for (SpecTask const& t : st.tasks) {
+    entries.push_back({t.id, t.load});
+  }
+  auto const transfer =
+      run_transfer(shared.params, ctx.rank(), entries, st.load, shared.l_ave,
+                   shared.inform->knowledge_of(ctx.rank()), ctx.rng());
+  if (shared.report != nullptr) {
+    shared.report->on_transfer_pass(transfer.accepted, transfer.rejected,
+                                    transfer.no_target,
+                                    transfer.cmf_rebuilds);
+  }
+  st.load = transfer.final_load;
+  for (Migration const& m : transfer.migrations) {
+    auto const it =
+        std::find_if(st.tasks.begin(), st.tasks.end(),
+                     [&](SpecTask const& t) { return t.id == m.task; });
+    TLB_ASSERT(it != st.tasks.end());
+    SpecTask const moved = *it;
+    st.tasks.erase(it);
+    propose(moved, m.to);
+  }
+}
+
 } // namespace
 
 StrategyResult GossipStrategy::balance(rt::Runtime& rt,
@@ -268,37 +305,10 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
       if (!resilient) {
         TLB_SPAN_ARG("lb", "transfer", "iter", iter);
         rt.post_all([shared](rt::RankContext& ctx) {
-          auto& st = shared->states[static_cast<std::size_t>(ctx.rank())];
-          if (st.load <= shared->threshold * shared->l_ave) {
-            return;
-          }
-          std::vector<TaskEntry> entries;
-          entries.reserve(st.tasks.size());
-          for (SpecTask const& t : st.tasks) {
-            entries.push_back({t.id, t.load});
-          }
-          auto const transfer =
-              run_transfer(shared->params, ctx.rank(), entries, st.load,
-                           shared->l_ave,
-                           shared->inform->knowledge_of(ctx.rank()),
-                           ctx.rng());
-          if (shared->report != nullptr) {
-            shared->report->on_transfer_pass(transfer.accepted,
-                                             transfer.rejected,
-                                             transfer.no_target,
-                                             transfer.cmf_rebuilds);
-          }
-          st.load = transfer.final_load;
-          for (Migration const& m : transfer.migrations) {
-            auto const it = std::find_if(
-                st.tasks.begin(), st.tasks.end(),
-                [&](SpecTask const& t) { return t.id == m.task; });
-            TLB_ASSERT(it != st.tasks.end());
-            SpecTask moved = *it;
-            st.tasks.erase(it);
-            RankId const sender = ctx.rank();
+          RankId const sender = ctx.rank();
+          transfer_pass(*shared, ctx, [&](SpecTask const& moved, RankId to) {
             ctx.send(
-                m.to, sizeof(SpecTask),
+                to, sizeof(SpecTask),
                 [shared, moved, sender](rt::RankContext& dest) {
                   auto& dst =
                       shared->states[static_cast<std::size_t>(dest.rank())];
@@ -325,7 +335,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
                   dst.load += moved.load;
                 },
                 rt::MessageKind::transfer);
-          }
+          });
         });
         rt.run_until_quiescent();
       } else {
@@ -338,44 +348,17 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
         TLB_SPAN_ARG("lb", "transfer", "iter", iter);
         auto rx = std::make_shared<ResilientXfer>(p);
         rt.post_all([shared, rx](rt::RankContext& ctx) {
-          auto& st = shared->states[static_cast<std::size_t>(ctx.rank())];
-          if (st.load <= shared->threshold * shared->l_ave) {
-            return;
-          }
-          std::vector<TaskEntry> entries;
-          entries.reserve(st.tasks.size());
-          for (SpecTask const& t : st.tasks) {
-            entries.push_back({t.id, t.load});
-          }
-          auto const transfer =
-              run_transfer(shared->params, ctx.rank(), entries, st.load,
-                           shared->l_ave,
-                           shared->inform->knowledge_of(ctx.rank()),
-                           ctx.rng());
-          if (shared->report != nullptr) {
-            shared->report->on_transfer_pass(transfer.accepted,
-                                             transfer.rejected,
-                                             transfer.no_target,
-                                             transfer.cmf_rebuilds);
-          }
-          st.load = transfer.final_load;
           auto& outbox = rx->outbox[static_cast<std::size_t>(ctx.rank())];
-          outbox.reserve(transfer.migrations.size());
-          for (Migration const& m : transfer.migrations) {
-            auto const it = std::find_if(
-                st.tasks.begin(), st.tasks.end(),
-                [&](SpecTask const& t) { return t.id == m.task; });
-            TLB_ASSERT(it != st.tasks.end());
+          transfer_pass(*shared, ctx, [&](SpecTask const& moved, RankId to) {
             ResilientXfer::Proposal prop;
             prop.seq = (static_cast<std::uint64_t>(ctx.rank()) << 32) |
                        outbox.size();
-            prop.task = *it;
+            prop.task = moved;
             prop.from = ctx.rank();
-            prop.to = m.to;
+            prop.to = to;
             prop.attempts = 1;
-            st.tasks.erase(it);
             outbox.push_back(prop);
-          }
+          });
           // Send only after the outbox is fully built: handlers capture
           // pointers into it, so it must never grow again.
           for (auto& pending : outbox) {

@@ -20,9 +20,7 @@
 /// arbitrary order, and unconditional acceptance of the outcome.
 ///
 /// TemperedLB takes its CMF refresh mode from the caller's LbParams:
-/// recompute (the tempered() preset) is the reference path, and
-/// CmfRefresh::incremental runs the same protocol and criterion with the
-/// Fenwick-backed CMF, O(log |S^p|) instead of O(|S^p|) per candidate.
+/// recompute (the tempered() preset) or build_once.
 
 #include "lb/knowledge.hpp"
 #include "lb/strategy/strategy.hpp"

@@ -85,8 +85,8 @@ protected:
 ///   "grapevine" — the original GrapevineLB configuration
 ///   "greedy"    — centralized LPT (GreedyLB)
 ///   "hier"      — hierarchical two-level balancer (HierLB)
-/// TemperedLB's incremental (Fenwick-backed) CMF is a parameter, not a
-/// name: set LbParams::refresh = CmfRefresh::incremental.
+/// TemperedLB with a build-once CMF (E12's ablation) is a parameter, not a
+/// name: set LbParams::refresh = CmfRefresh::build_once.
 /// Throws std::invalid_argument for unknown names.
 [[nodiscard]] std::unique_ptr<Strategy> make_strategy(std::string_view name);
 

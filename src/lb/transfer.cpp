@@ -5,13 +5,31 @@
 
 #include "lb/cmf.hpp"
 #include "lb/criterion.hpp"
-#include "lb/incremental_cmf.hpp"
 #include "lb/order.hpp"
 #include "obs/tracer.hpp"
 #include "support/assert.hpp"
 #include "support/check.hpp"
 
 namespace tlb::lb {
+
+namespace {
+
+/// True when two CMFs sample the same distribution bit for bit: the same
+/// normalizer and, per sampleable entry, the same rank and probability.
+bool same_distribution(Cmf const& a, Cmf const& b) {
+  if (a.normalizer() != b.normalizer() || a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.rank_at(i) != b.rank_at(i) ||
+        a.probability(i) != b.probability(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+} // namespace
 
 TransferResult run_transfer(LbParams const& params, RankId self,
                             std::vector<TaskEntry> const& tasks, LoadType l_p,
@@ -24,19 +42,15 @@ TransferResult run_transfer(LbParams const& params, RankId self,
       order_tasks(params.order, tasks, l_ave, l_p);
   TLB_SPAN_ARG("lb", "transfer_pass", "candidates", order.size());
 
-  // Line 5: the original algorithm builds the CMF exactly once. The
-  // incremental mode also builds once — an IncrementalCmf — and then
-  // point-updates it as speculative transfers land, giving recompute
-  // semantics at O(log |S^p|) per candidate instead of O(|S^p|).
+  // Lines 5 and 7: GrapevineLB builds the CMF once; TemperedLB rebuilds it
+  // for every candidate so speculative load updates shift sampling away
+  // from filling ranks. A Cmf is a pure function of (kind, knowledge,
+  // l_ave, self) and draws no random numbers, and only an accepted
+  // transfer changes the knowledge. So building at the first candidate
+  // and, under recompute, again after each accepted transfer samples
+  // exactly what a per-candidate rebuild would.
   std::optional<Cmf> cmf;
-  std::optional<IncrementalCmf> inc;
-  if (params.refresh == CmfRefresh::build_once) {
-    cmf.emplace(params.cmf, knowledge.entries(), l_ave, self);
-    ++result.cmf_rebuilds;
-  } else if (params.refresh == CmfRefresh::incremental) {
-    inc.emplace(params.cmf, knowledge.entries(), l_ave, self);
-    ++result.cmf_rebuilds;
-  }
+  bool stale = true;
 
   // Line 6: propose transfers while overloaded and candidates remain.
   std::size_t n = 0;
@@ -44,19 +58,25 @@ TransferResult run_transfer(LbParams const& params, RankId self,
     TaskEntry const& candidate = order[n];
     ++n;
 
-    // Line 7: TemperedLB rebuilds the CMF for every candidate so
-    // speculative load updates shift sampling away from filling ranks.
-    if (params.refresh == CmfRefresh::recompute) {
+    if (stale) {
       cmf.emplace(params.cmf, knowledge.entries(), l_ave, self);
       ++result.cmf_rebuilds;
+      stale = false;
+    } else if (params.refresh == CmfRefresh::recompute) {
+      TLB_AUDIT_BLOCK {
+        // The reused CMF must be the one line 7 would build here.
+        Cmf const fresh{params.cmf, knowledge.entries(), l_ave, self};
+        TLB_INVARIANT(same_distribution(fresh, *cmf),
+                      "reused CMF matches a rebuild over current knowledge");
+      }
     }
-    if (inc ? inc->empty() : cmf->empty()) {
+    if (cmf->empty()) {
       ++result.no_target;
       continue;
     }
 
     // Lines 9-10: sample a recipient and read its last-known load.
-    RankId const target = inc ? inc->sample(rng) : cmf->sample(rng);
+    RankId const target = cmf->sample(rng);
     LoadType const l_x = knowledge.load_of(target);
 
     // Line 11: the acceptance criterion (original vs relaxed).
@@ -78,44 +98,14 @@ TransferResult run_transfer(LbParams const& params, RankId self,
       }
       // Lines 12-16: commit the speculative transfer.
       knowledge.add_load(target, candidate.load);
-      if (inc) {
-        inc->add_load(target, candidate.load);
-      }
+      stale = params.refresh == CmfRefresh::recompute;
       result.final_load -= candidate.load;
       result.migrations.push_back(
           Migration{candidate.id, self, target, candidate.load});
       ++result.accepted;
-      TLB_AUDIT_BLOCK {
-        // Shadow cross-check (audit builds only): after each committed
-        // speculative transfer the incrementally maintained distribution
-        // must agree with a from-scratch recompute over the same knowledge
-        // — the Fenwick-vs-recompute guarantee PR 1's fast path rests on.
-        if (inc) {
-          Cmf const shadow{params.cmf, knowledge.entries(), l_ave, self};
-          TLB_INVARIANT(std::abs(shadow.normalizer() - inc->normalizer()) <=
-                            1e-9 * std::max(1.0, shadow.normalizer()),
-                        "incremental normalizer matches recompute");
-          TLB_INVARIANT(shadow.empty() == inc->empty(),
-                        "incremental emptiness matches recompute");
-          bool probs_match = true;
-          for (std::size_t i = 0; i < shadow.size(); ++i) {
-            double const p = shadow.probability(i);
-            double const q = inc->probability_of(shadow.rank_at(i));
-            probs_match = probs_match && std::abs(p - q) <= 1e-9;
-          }
-          TLB_INVARIANT(probs_match,
-                        "incremental per-rank probabilities match recompute");
-        }
-      }
     } else {
       ++result.rejected;
     }
-  }
-
-  if (inc) {
-    // Fenwick point-updates are not rebuilds; only the O(n) escalations
-    // (normalizer shifts under the modified CMF) count.
-    result.cmf_rebuilds += inc->rebuild_count();
   }
 
   TLB_AUDIT_BLOCK {

@@ -6,8 +6,7 @@
 /// the sequential analysis framework (src/lbaf) and the distributed
 /// strategies (src/lb/strategy). All paper variants are reachable through
 /// LbParams: original/relaxed criterion, original/modified CMF, build-once
-/// vs recompute vs incremental (Fenwick-backed, O(log |S^p|) per
-/// candidate), and the four §V-E orderings.
+/// vs recompute, and the four §V-E orderings.
 
 #include <vector>
 
@@ -27,9 +26,10 @@ struct TransferResult {
   std::size_t rejected = 0;
   /// Candidates skipped because no sampleable recipient existed.
   std::size_t no_target = 0;
-  /// O(n) CMF constructions this pass: 1 for build_once, one per
-  /// candidate for recompute, 1 + the Fenwick escalation count for
-  /// incremental (observability for the §V-A change-#3 cost claim).
+  /// O(n) CMF constructions this pass (observability for the §V-A
+  /// change-#3 cost claim): 1 for build_once; for recompute, 1 plus one
+  /// per accepted transfer that another candidate followed. 0 when the
+  /// loop tried no candidate.
   std::size_t cmf_rebuilds = 0;
   /// This rank's load after the proposed (speculative) transfers.
   LoadType final_load = 0.0;

@@ -6,11 +6,8 @@
 /// iteration tables: per-iteration transfer/rejection counts and the
 /// imbalance trajectory.
 ///
-/// The transfer stage honors every CmfRefresh mode, including the
-/// Fenwick-backed incremental CMF (CmfRefresh::incremental); the
-/// recompute mode stays the reference for the published tables and for
-/// cross-validating the incremental path (see
-/// tests/lbaf/incremental_regression_test.cpp).
+/// The transfer stage honors both CmfRefresh modes; recompute produces
+/// the published TemperedLB tables.
 
 #include <cstdint>
 #include <optional>

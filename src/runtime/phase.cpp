@@ -1,6 +1,7 @@
 #include "runtime/phase.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/assert.hpp"
 
@@ -48,7 +49,7 @@ void PhaseInstrumentation::start_phase() {
 void PhaseInstrumentation::record(RankId rank, TaskId task, LoadType load) {
   TLB_EXPECTS(rank >= 0 &&
               static_cast<std::size_t>(rank) < current_.size());
-  TLB_EXPECTS(load >= 0.0);
+  TLB_EXPECTS(std::isfinite(load) && load >= 0.0);
   current_[static_cast<std::size_t>(rank)].push_back({task, load});
 }
 

@@ -34,6 +34,7 @@ public:
   [[nodiscard]] std::size_t phase() const { return phase_; }
 
   /// Accumulate measured load for `task` executing on `rank` this phase.
+  /// Precondition: `load` is finite and non-negative.
   void record(RankId rank, TaskId task, LoadType load);
 
   /// Tasks and their measured loads on `rank` for the *previous* phase —

@@ -19,8 +19,8 @@
 ///   TLB_INVARIANT(total_after == total_before,
 ///                 "task-count conservation across migrate");
 ///   TLB_AUDIT_BLOCK {
-///     double shadow = std::accumulate(w.begin(), w.end(), 0.0);
-///     TLB_INVARIANT(near(shadow, tree.total()), "Fenwick total == sum(w)");
+///     Cmf const fresh{kind, knowledge.entries(), l_ave, self};
+///     TLB_INVARIANT(same_distribution(fresh, cmf), "reused CMF is current");
 ///   }
 ///
 /// TLB_AUDIT_BLOCK guards expensive shadow computations: the block is

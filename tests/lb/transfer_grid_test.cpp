@@ -1,17 +1,101 @@
 /// Exhaustive variant-grid property tests of the transfer stage: every
 /// (criterion x CMF x refresh x ordering) combination must satisfy the
-/// same structural invariants on randomized inputs.
+/// same structural invariants on randomized inputs, and make the same
+/// decisions as Algorithm 2 written out literally.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
 
+#include "lb/cmf.hpp"
+#include "lb/criterion.hpp"
+#include "lb/order.hpp"
 #include "lb/transfer.hpp"
 #include "support/rng.hpp"
 
 namespace tlb::lb {
 namespace {
+
+/// One overloaded rank's view at the start of a transfer pass.
+struct RankState {
+  std::vector<TaskEntry> tasks;
+  double l_p = 0.0;
+  double l_ave = 0.0;
+  Knowledge knowledge;
+};
+
+/// The 20 random overloaded-rank states each variant is checked on.
+std::vector<RankState> random_states(std::uint64_t seed) {
+  Rng workload_rng{seed * 7919 + 13};
+  std::vector<RankState> states(20);
+  for (RankState& st : states) {
+    auto const n = 1 + workload_rng.index(60);
+    for (std::size_t i = 0; i < n; ++i) {
+      double const load = workload_rng.uniform(0.05, 2.0);
+      st.tasks.push_back({static_cast<TaskId>(i), load});
+      st.l_p += load;
+    }
+    st.l_ave = st.l_p / workload_rng.uniform(2.0, 16.0);
+    auto const peers = 1 + workload_rng.index(20);
+    for (std::size_t i = 0; i < peers; ++i) {
+      st.knowledge.insert(static_cast<RankId>(i + 1),
+                          workload_rng.uniform(0.0, 1.5 * st.l_ave));
+    }
+  }
+  return states;
+}
+
+/// Algorithm 2 as the paper writes it: under recompute the CMF is built
+/// before every candidate (line 7), under build_once once before the loop
+/// (line 5). Its cmf_rebuilds is the count run_transfer must report: the
+/// first build plus, under recompute, one per accepted transfer that
+/// another candidate followed.
+TransferResult reference_transfer(LbParams const& p, RankId self,
+                                  std::vector<TaskEntry> const& tasks,
+                                  LoadType l_p, LoadType l_ave,
+                                  Knowledge& knowledge, Rng& rng) {
+  TransferResult r;
+  r.final_load = l_p;
+  std::vector<TaskEntry> const order = order_tasks(p.order, tasks, l_ave, l_p);
+  std::optional<Cmf> cmf;
+  if (p.refresh == CmfRefresh::build_once) {
+    cmf.emplace(p.cmf, knowledge.entries(), l_ave, self);
+  }
+  std::size_t accepted_then_followed = 0;
+  bool last_accepted = false;
+  for (std::size_t n = 0;
+       r.final_load > p.threshold * l_ave && n < order.size(); ++n) {
+    TaskEntry const& candidate = order[n];
+    accepted_then_followed += last_accepted ? 1 : 0;
+    last_accepted = false;
+    if (p.refresh == CmfRefresh::recompute) {
+      cmf.emplace(p.cmf, knowledge.entries(), l_ave, self);
+    }
+    if (cmf->empty()) {
+      ++r.no_target;
+      continue;
+    }
+    RankId const target = cmf->sample(rng);
+    LoadType const l_x = knowledge.load_of(target);
+    if (evaluate_criterion(p.criterion, l_x, candidate.load, l_ave,
+                           r.final_load)) {
+      knowledge.add_load(target, candidate.load);
+      r.final_load -= candidate.load;
+      r.migrations.push_back({candidate.id, self, target, candidate.load});
+      ++r.accepted;
+      last_accepted = true;
+    } else {
+      ++r.rejected;
+    }
+  }
+  r.cmf_rebuilds = p.refresh == CmfRefresh::recompute
+                       ? 1 + accepted_then_followed
+                       : 1;
+  return r;
+}
 
 using GridParam =
     std::tuple<CriterionKind, CmfKind, CmfRefresh, OrderKind, std::uint64_t>;
@@ -34,28 +118,13 @@ protected:
 
 TEST_P(TransferGrid, StructuralInvariants) {
   auto const p = params();
-  Rng workload_rng{std::get<4>(GetParam()) * 7919 + 13};
+  auto const states = random_states(std::get<4>(GetParam()));
 
-  for (int instance = 0; instance < 20; ++instance) {
-    // Random overloaded rank state.
-    std::vector<TaskEntry> tasks;
-    auto const n = 1 + workload_rng.index(60);
-    double l_p = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double const load = workload_rng.uniform(0.05, 2.0);
-      tasks.push_back({static_cast<TaskId>(i), load});
-      l_p += load;
-    }
-    double const l_ave = l_p / workload_rng.uniform(2.0, 16.0);
-    Knowledge knowledge;
-    auto const peers = 1 + workload_rng.index(20);
-    for (std::size_t i = 0; i < peers; ++i) {
-      knowledge.insert(static_cast<RankId>(i + 1),
-                       workload_rng.uniform(0.0, 1.5 * l_ave));
-    }
-    auto const knowledge_before = knowledge;
+  for (std::size_t instance = 0; instance < states.size(); ++instance) {
+    auto const& [tasks, l_p, l_ave, knowledge_before] = states[instance];
+    Knowledge knowledge = knowledge_before;
 
-    Rng rng{std::get<4>(GetParam()) + static_cast<std::uint64_t>(instance)};
+    Rng rng{std::get<4>(GetParam()) + instance};
     auto const result =
         run_transfer(p, /*self=*/0, tasks, l_p, l_ave, knowledge, rng);
 
@@ -98,6 +167,37 @@ TEST_P(TransferGrid, StructuralInvariants) {
   }
 }
 
+TEST_P(TransferGrid, MatchesPerCandidateRebuild) {
+  // run_transfer rebuilds the CMF only after an accepted transfer; the
+  // decisions must equal the literal per-candidate rebuild's bit for bit.
+  auto const p = params();
+  auto const states = random_states(std::get<4>(GetParam()));
+
+  for (std::size_t instance = 0; instance < states.size(); ++instance) {
+    auto const& st = states[instance];
+    Knowledge knowledge = st.knowledge;
+    Knowledge reference_knowledge = st.knowledge;
+    Rng rng{std::get<4>(GetParam()) + instance};
+    Rng reference_rng = rng;
+
+    auto const result = run_transfer(p, /*self=*/0, st.tasks, st.l_p,
+                                     st.l_ave, knowledge, rng);
+    auto const reference =
+        reference_transfer(p, /*self=*/0, st.tasks, st.l_p, st.l_ave,
+                           reference_knowledge, reference_rng);
+
+    EXPECT_EQ(result.migrations, reference.migrations) << instance;
+    EXPECT_EQ(result.accepted, reference.accepted) << instance;
+    EXPECT_EQ(result.rejected, reference.rejected) << instance;
+    EXPECT_EQ(result.no_target, reference.no_target) << instance;
+    EXPECT_EQ(result.final_load, reference.final_load) << instance;
+    EXPECT_EQ(result.cmf_rebuilds, reference.cmf_rebuilds) << instance;
+    EXPECT_TRUE(std::ranges::equal(knowledge.entries(),
+                                   reference_knowledge.entries()))
+        << instance;
+  }
+}
+
 TEST_P(TransferGrid, DeterministicGivenSeed) {
   auto const p = params();
   std::vector<TaskEntry> tasks;
@@ -127,8 +227,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(CriterionKind::original, CriterionKind::relaxed),
         ::testing::Values(CmfKind::original, CmfKind::modified),
-        ::testing::Values(CmfRefresh::build_once, CmfRefresh::recompute,
-                          CmfRefresh::incremental),
+        ::testing::Values(CmfRefresh::build_once, CmfRefresh::recompute),
         ::testing::Values(OrderKind::arbitrary, OrderKind::load_intensive,
                           OrderKind::fewest_migrations, OrderKind::lightest),
         ::testing::Values(7u, 77u)));

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 
 #include "support/rng.hpp"
@@ -122,10 +123,20 @@ TEST(Phase, RandomRecordStreamMatchesMapReference) {
   }
 }
 
-TEST(PhaseDeath, NegativeLoadAborts) {
+/// A measured load must be finite and non-negative: anything else would
+/// poison every imbalance the balancers compute from it.
+class PhaseLoadDeath : public ::testing::TestWithParam<LoadType> {};
+
+TEST_P(PhaseLoadDeath, InvalidLoadAborts) {
   PhaseInstrumentation inst{1};
-  EXPECT_DEATH(inst.record(0, 1, -1.0), "precondition");
+  EXPECT_DEATH(inst.record(0, 1, GetParam()), "precondition");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    NegativeOrNonFinite, PhaseLoadDeath,
+    ::testing::Values(-1.0, -std::numeric_limits<LoadType>::infinity(),
+                      std::numeric_limits<LoadType>::quiet_NaN(),
+                      std::numeric_limits<LoadType>::infinity()));
 
 TEST(PhaseDeath, BadRankAborts) {
   PhaseInstrumentation inst{1};

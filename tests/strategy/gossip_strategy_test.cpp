@@ -229,33 +229,6 @@ TEST(GossipLB, ThreadedDriverProducesValidResult) {
   check_migrations_consistent(input, result);
 }
 
-TEST(TemperedFastLB, MatchesTemperedDecisionForDecision) {
-  // The incremental CMF runs the same protocol over the same rng
-  // streams; with an identical runtime seed it must reproduce the
-  // recompute reference's migrations exactly (a sampling divergence would
-  // mean the Fenwick path drew a different recipient).
-  auto const input = clustered_input(48, 3, 40, 23);
-  auto params = LbParams::tempered();
-  params.num_trials = 2;
-  params.num_iterations = 3;
-  params.rounds = 6;
-
-  rt::Runtime rt1{config(48)};
-  GossipStrategy reference{GossipStrategy::Flavor::tempered};
-  auto const a = reference.balance(rt1, input, params);
-
-  auto incremental = params;
-  incremental.refresh = CmfRefresh::incremental;
-  rt::Runtime rt2{config(48)};
-  GossipStrategy fast{GossipStrategy::Flavor::tempered};
-  auto const b = fast.balance(rt2, input, incremental);
-
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_DOUBLE_EQ(a.achieved_imbalance, b.achieved_imbalance);
-  EXPECT_EQ(a.cost.migration_count, b.cost.migration_count);
-  check_migrations_consistent(input, b);
-}
-
 class OrderingSweep : public ::testing::TestWithParam<OrderKind> {};
 
 TEST_P(OrderingSweep, AllOrderingsProduceValidImprovingResults) {

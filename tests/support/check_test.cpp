@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "lb/cmf.hpp"
-#include "lb/incremental_cmf.hpp"
 #include "lb/knowledge.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
@@ -110,20 +109,6 @@ TEST_F(AuditorTest, CorruptedCmfPrefixTriggersTheAuditor) {
   std::vector<double> const overflowing{0.25, 1.5, 1.0};
   lb::audit_cmf_prefix(overflowing);
   EXPECT_GE(audit::violation_count(), 1u);
-}
-
-TEST_F(AuditorTest, IncrementalCmfShadowCheckAcceptsScriptedUpdates) {
-  lb::Knowledge knowledge;
-  for (RankId r = 1; r <= 8; ++r) {
-    knowledge.insert(r, static_cast<LoadType>(r));
-  }
-  lb::IncrementalCmf inc{lb::CmfKind::modified, knowledge.entries(), 4.0, 0};
-  // Normalizer-shifting and plain point updates both re-audit internally.
-  inc.add_load(3, 2.5);
-  inc.add_load(8, 10.0); // overtakes l_s: O(n) rebuild path
-  inc.add_load(1, 0.25);
-  inc.audit_consistency();
-  EXPECT_EQ(audit::violation_count(), 0u) << audit::last_violation();
 }
 
 struct TestPayload : rt::Migratable {
