@@ -1,9 +1,9 @@
 /// \file micro_policy.cpp
 /// M7 — google-benchmark microbenchmarks of the adaptive-invocation
-/// decision layer: single-model predictions over a realistic history
-/// window, the Forecaster's per-phase observe+score+predict cycle, one
-/// cost/benefit decide() (the per-phase overhead a policy adds to the
-/// driver), and a full small policy × scenario simulation cell.
+/// decision layer: the persistence Forecaster's per-phase
+/// observe+score+predict cycle, one cost/benefit decide() (the per-phase
+/// overhead a policy adds to the driver), and a full small policy ×
+/// scenario simulation cell.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "policy/forecaster.hpp"
-#include "policy/load_model.hpp"
 #include "policy/trigger_policy.hpp"
 #include "support/rng.hpp"
 #include "workload/policy_sim.hpp"
@@ -20,35 +19,10 @@ namespace {
 
 using namespace tlb;
 
-std::vector<double> make_series(std::size_t n, std::uint64_t seed) {
-  Rng rng{seed};
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    out.push_back(1.0 + 0.02 * static_cast<double>(t) +
-                  rng.uniform(-0.1, 0.1));
-  }
-  return out;
-}
-
-/// One prediction from a 64-observation history — the per-rank inner step
-/// of every forecast.
-void BM_LoadModelPredict(benchmark::State& state, std::string const& name) {
-  auto const model = policy::make_load_model(name);
-  auto const series = make_series(64, 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model->predict(series));
-  }
-}
-BENCHMARK_CAPTURE(BM_LoadModelPredict, persistence, "persistence");
-BENCHMARK_CAPTURE(BM_LoadModelPredict, ema, "ema");
-BENCHMARK_CAPTURE(BM_LoadModelPredict, trend, "trend");
-BENCHMARK_CAPTURE(BM_LoadModelPredict, periodic, "periodic");
-
 /// A full forecaster phase at 64 ranks: score the pending forecast,
-/// append the measurement, predict the next phase.
+/// keep the measurement, predict the next phase.
 void BM_ForecasterPhase(benchmark::State& state) {
-  policy::Forecaster forecaster{policy::make_load_model("persistence")};
+  policy::Forecaster forecaster;
   Rng rng{23};
   std::vector<double> loads(64, 1.0);
   for (auto _ : state) {

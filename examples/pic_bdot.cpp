@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0xE3));
   cfg.runtime_threads = static_cast<int>(opts.get_int("threads", 1));
   cfg.lb_params.rounds = static_cast<int>(opts.get_int("rounds", 5));
-  // --policy replaces the periodic schedule with an adaptive trigger
-  // policy; every step's invoke-or-skip decision lands in the timeline.
+  // --policy replaces the periodic schedule with another trigger policy.
+  // Either way every step's invoke-or-skip decision lands in the timeline.
   cfg.policy = opts.get_string("policy", "");
 
   // --telemetry: record spans/metrics/LB introspection over the whole run

@@ -1,5 +1,6 @@
 #include "lb/strategy/lb_manager.hpp"
 
+#include <cmath>
 #include <optional>
 
 #include "obs/causal.hpp"
@@ -10,6 +11,22 @@
 #include "support/stats.hpp"
 
 namespace tlb::lb {
+
+namespace {
+
+/// Every task load must be finite and non-negative, as
+/// PhaseInstrumentation::record requires of what it measures: a
+/// StrategyInput built directly gets the same check before any policy or
+/// strategy computes an imbalance from it.
+void expect_valid_loads(StrategyInput const& input) {
+  for (auto const& tasks : input.tasks) {
+    for (TaskEntry const& task : tasks) {
+      TLB_EXPECTS(std::isfinite(task.load) && task.load >= 0.0);
+    }
+  }
+}
+
+} // namespace
 
 LbManager::LbManager(rt::Runtime& rt, std::string_view strategy,
                      LbParams params)
@@ -36,6 +53,7 @@ StrategyResult LbManager::decide(StrategyInput const& input) {
 
 LbManager::Report LbManager::invoke(StrategyInput const& input,
                                     rt::ObjectStore& store) {
+  expect_valid_loads(input);
   return invoke_internal(input, store, nullptr, {});
 }
 
@@ -136,6 +154,7 @@ LbManager::invoke_if_beneficial(StrategyInput const& input,
                                 rt::ObjectStore& store,
                                 policy::TriggerPolicy& policy,
                                 LbCostModel const& cost_model) {
+  expect_valid_loads(input);
   PolicyOutcome out;
   auto const loads = input.rank_loads();
   out.decision = policy.decide(next_phase_, loads);

@@ -21,9 +21,10 @@
 
 namespace tlb::lb {
 
-/// Converts an LB invocation's protocol/migration accounting into the
-/// simulated seconds the trigger policies weigh against forecast gains.
-/// Defaults mirror pic::WorkModel's calibrated coefficients.
+/// Converts an LB invocation's protocol/migration accounting into
+/// simulated seconds: PicApp's t_lb, and the cost the trigger policies
+/// weigh against forecast gains. Defaults mirror pic::WorkModel's
+/// calibrated coefficients.
 struct LbCostModel {
   double per_message = 2.0e-6;
   double per_byte = 5.0e-10;
@@ -81,7 +82,9 @@ public:
                RankId num_ranks);
 
   /// Run one LB invocation: decide migrations from `input` and execute
-  /// them on `store` (moving payloads with runtime messages).
+  /// them on `store` (moving payloads with runtime messages). Every task
+  /// load in `input` must be finite and >= 0 (checked here and in
+  /// invoke_if_beneficial).
   Report invoke(StrategyInput const& input, rt::ObjectStore& store);
 
   /// Adaptive invocation: ask `policy` whether the balancer should run

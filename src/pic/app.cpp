@@ -31,7 +31,9 @@ PicApp::PicApp(PicConfig config)
       scenario_{config_.bdot},
       rng_{config_.seed} {
   TLB_EXPECTS(config_.steps > 0);
+  TLB_EXPECTS(config_.first_lb_step >= 0);
   TLB_EXPECTS(config_.lb_period > 0);
+  TLB_EXPECTS(config_.lb_trigger_cooldown >= 0);
   // Create every color on its SPMD home rank (Fig. 1b).
   for (ColorId c = 0; c < mesh_.num_colors(); ++c) {
     store_.create(mesh_.home_rank_of_color(c), c,
@@ -42,7 +44,13 @@ PicApp::PicApp(PicConfig config)
   if (balancing) {
     lb_manager_ = std::make_unique<lb::LbManager>(runtime_, config_.strategy,
                                                   config_.lb_params);
-    if (!config_.policy.empty()) {
+    if (config_.policy.empty()) {
+      trigger_policy_ = std::make_unique<policy::PeriodicPolicy>(
+          static_cast<std::uint64_t>(config_.first_lb_step),
+          static_cast<std::uint64_t>(config_.lb_period),
+          config_.lb_trigger_imbalance,
+          static_cast<std::uint64_t>(config_.lb_trigger_cooldown));
+    } else {
       trigger_policy_ = policy::make_policy(config_.policy);
     }
   }
@@ -72,24 +80,6 @@ std::size_t PicApp::total_particles() const {
     n += particles_in(c);
   }
   return n;
-}
-
-bool PicApp::is_lb_step(int step, double measured_imbalance) {
-  if (lb_manager_ == nullptr) {
-    return false;
-  }
-  if (step == config_.first_lb_step) {
-    return true;
-  }
-  if (step > config_.first_lb_step && step % config_.lb_period == 0) {
-    return true;
-  }
-  // Adaptive trigger: react to observed imbalance between periodic
-  // invocations, with a cooldown to avoid thrashing on a residual floor.
-  return config_.lb_trigger_imbalance > 0.0 &&
-         step > config_.first_lb_step &&
-         measured_imbalance > config_.lb_trigger_imbalance &&
-         step - last_lb_step_ >= config_.lb_trigger_cooldown;
 }
 
 void PicApp::inject(int step) {
@@ -205,9 +195,9 @@ RunResult PicApp::run() {
     instrumentation_.start_phase();
 
     if (trigger_policy_ != nullptr) {
-      // Adaptive invocation: the policy sees every step's measured loads
-      // and decides itself; the WorkModel's LB coefficients become the
-      // cost model its cost/benefit criterion weighs gains against.
+      // The policy sees every step's measured loads and decides; the
+      // WorkModel's LB coefficients price each invocation (t_lb) and are
+      // the cost a cost/benefit policy weighs its forecast gain against.
       auto const input =
           lb::LbManager::gather_input(instrumentation_, mesh_.num_ranks());
       lb::LbCostModel const cost_model{config_.work.lb_per_message,
@@ -216,28 +206,12 @@ RunResult PicApp::run() {
       auto const outcome = lb_manager_->invoke_if_beneficial(
           input, store_, *trigger_policy_, cost_model);
       if (outcome.invoked) {
-        last_lb_step_ = step;
         metrics.migrations = outcome.report.cost.migration_count;
         metrics.t_lb = outcome.lb_cost_seconds;
         result.totals.migrations += outcome.report.cost.migration_count;
         result.totals.migration_bytes +=
             outcome.report.migration_payload_bytes;
       }
-    } else if (is_lb_step(step, metrics.imbalance)) {
-      last_lb_step_ = step;
-      auto const input =
-          lb::LbManager::gather_input(instrumentation_, mesh_.num_ranks());
-      auto const report = lb_manager_->invoke(input, store_);
-      metrics.migrations = report.cost.migration_count;
-      metrics.t_lb =
-          config_.work.lb_per_message *
-              static_cast<double>(report.cost.lb_messages) +
-          config_.work.lb_per_byte *
-              static_cast<double>(report.cost.lb_bytes) +
-          config_.work.migration_per_byte *
-              static_cast<double>(report.migration_payload_bytes);
-      result.totals.migrations += report.cost.migration_count;
-      result.totals.migration_bytes += report.migration_payload_bytes;
     }
 
     metrics.t_step =

@@ -3,7 +3,7 @@
 /// \file app.hpp
 /// The EMPIRE-surrogate mini-app driver: a timestep loop of
 ///   inject -> field solve (t_n) -> particle update (t_p) -> exchange ->
-///   [load balance every lb_period steps] (t_lb)
+///   [load balance when the trigger policy says so] (t_lb)
 /// over the colored overdecomposition, producing per-step metrics that
 /// regenerate the paper's Figs. 2-4. Times are simulated seconds derived
 /// from the WorkModel; the particle motion itself is real.
@@ -50,20 +50,21 @@ struct PicConfig {
   std::string strategy = "tempered";
   lb::LbParams lb_params = lb::LbParams::tempered();
   int steps = 600;
+  /// The default schedule is policy::PeriodicPolicy{first_lb_step,
+  /// lb_period, lb_trigger_imbalance, lb_trigger_cooldown}.
   int first_lb_step = 2;  ///< paper: balance at the 2nd timestep...
   int lb_period = 100;    ///< ...then every 100th
   /// Adaptive trigger (extension, motivated by §IV-A's frequency/
-  /// scalability tradeoff): when > 0, additionally invoke the LB at any
-  /// step whose *previous* step measured I above this threshold. 0 keeps
-  /// the paper's purely periodic schedule.
+  /// scalability tradeoff): when > 0, additionally invoke the LB after any
+  /// step that measured I above this threshold. 0 keeps the paper's
+  /// purely periodic schedule.
   double lb_trigger_imbalance = 0.0;
   /// Minimum steps between adaptive-trigger invocations (hysteresis so a
   /// persistent residual imbalance cannot thrash the balancer).
   int lb_trigger_cooldown = 10;
   /// Trigger-policy spec (policy::make_policy: "always", "every-<k>",
   /// "threshold-<λ>", "costbenefit", ...). When non-empty it replaces the
-  /// periodic schedule and imbalance trigger entirely: the policy sees
-  /// every step's measured loads and decides invoke-or-skip itself.
+  /// periodic schedule and imbalance trigger entirely.
   std::string policy;
   std::uint64_t seed = 0xE3;
   int runtime_threads = 1;
@@ -149,9 +150,6 @@ private:
   void exchange(StepMetrics& metrics);
   [[nodiscard]] ColorChunk& chunk(ColorId color);
   [[nodiscard]] ColorChunk const& chunk(ColorId color) const;
-  /// Whether to invoke the LB after measuring `step`; `measured_imbalance`
-  /// is this step's I (the adaptive trigger's signal).
-  [[nodiscard]] bool is_lb_step(int step, double measured_imbalance);
 
   PicConfig config_;
   Mesh mesh_;
@@ -159,14 +157,12 @@ private:
   rt::ObjectStore store_;
   rt::PhaseInstrumentation instrumentation_;
   std::unique_ptr<lb::LbManager> lb_manager_; ///< null when not balancing
-  /// Non-null when config_.policy selects adaptive invocation.
+  /// Decides every step's invoke-or-skip; null exactly when lb_manager_ is.
   std::unique_ptr<policy::TriggerPolicy> trigger_policy_;
   BDotScenario scenario_;
   Rng rng_;
   /// Previous step's per-color work, for the persistence metric.
   std::vector<double> prev_color_work_;
-  /// Step of the last LB invocation (for the adaptive trigger cooldown).
-  int last_lb_step_ = -1;
 };
 
 } // namespace tlb::pic

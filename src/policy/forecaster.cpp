@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/assert.hpp"
+#include "support/stats.hpp"
 
 namespace tlb::policy {
 
@@ -14,32 +15,9 @@ constexpr double kErrorEmaAlpha = 0.3;
 
 } // namespace
 
-double forecast_imbalance(std::span<double const> loads) {
-  if (loads.empty()) {
-    return 0.0;
-  }
-  double max = 0.0;
-  double sum = 0.0;
-  for (double const l : loads) {
-    max = std::max(max, l);
-    sum += l;
-  }
-  double const avg = sum / static_cast<double>(loads.size());
-  return avg > 0.0 ? max / avg - 1.0 : 0.0;
-}
-
-Forecaster::Forecaster(std::unique_ptr<LoadModel> model, std::size_t window)
-    : model_{std::move(model)}, window_{window} {
-  TLB_EXPECTS(model_ != nullptr);
-  TLB_EXPECTS(window_ >= 2);
-}
-
 void Forecaster::observe(std::span<double const> loads) {
   TLB_EXPECTS(!loads.empty());
-  if (history_.empty()) {
-    history_.resize(loads.size());
-  }
-  TLB_EXPECTS(history_.size() == loads.size());
+  TLB_EXPECTS(newest_.empty() || newest_.size() == loads.size());
 
   // Score the forecast issued for this phase, if one is pending.
   if (!pending_forecast_.empty()) {
@@ -58,50 +36,38 @@ void Forecaster::observe(std::span<double const> loads) {
     pending_forecast_.clear();
   }
 
-  for (std::size_t r = 0; r < loads.size(); ++r) {
-    auto& series = history_[r];
-    if (series.size() == window_) {
-      series.erase(series.begin());
-    }
-    series.push_back(loads[r]);
-  }
+  newest_.assign(loads.begin(), loads.end());
   ++observations_;
 }
 
 void Forecaster::rebase(std::span<double const> loads) {
-  if (history_.empty()) {
+  if (newest_.empty()) {
     return;
   }
-  TLB_EXPECTS(history_.size() == loads.size());
-  for (std::size_t r = 0; r < loads.size(); ++r) {
-    if (!history_[r].empty()) {
-      history_[r].back() = loads[r];
-    }
-  }
+  TLB_EXPECTS(newest_.size() == loads.size());
+  newest_.assign(loads.begin(), loads.end());
 }
 
 Forecast Forecaster::predict() {
   Forecast f;
-  if (history_.empty()) {
+  if (newest_.empty()) {
     return f;
   }
-  f.loads.reserve(history_.size());
-  double sum = 0.0;
-  for (auto const& series : history_) {
-    double const p = model_->predict(series);
-    f.loads.push_back(p);
-    f.load_max = std::max(f.load_max, p);
-    sum += p;
+  f.loads.reserve(newest_.size());
+  for (double const l : newest_) {
+    f.loads.push_back(std::max(l, 0.0));
   }
-  f.load_avg = sum / static_cast<double>(f.loads.size());
-  f.imbalance = f.load_avg > 0.0 ? f.load_max / f.load_avg - 1.0 : 0.0;
+  auto const summary = summarize(f.loads);
+  f.load_max = summary.max;
+  f.load_avg = summary.mean;
+  f.imbalance = summary.imbalance();
   f.valid = true;
   pending_forecast_ = f.loads;
   return f;
 }
 
 void Forecaster::clear() {
-  history_.clear();
+  newest_.clear();
   pending_forecast_.clear();
   last_error_ = 0.0;
   error_ema_ = 0.0;

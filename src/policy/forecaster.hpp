@@ -1,21 +1,18 @@
 #pragma once
 
 /// \file forecaster.hpp
-/// The Forecaster joins a LoadModel with the per-rank load history it
-/// predicts from: each phase the caller feeds the measured per-rank loads
-/// (observe), and the forecaster produces the predicted next-phase load
-/// vector together with its imbalance λ̂ = max/avg − 1 (predict). It also
-/// scores itself: every observe() compares the measured loads against the
-/// forecast issued the phase before and folds the relative L1 error into
-/// a trailing EMA — the forecast-error metric the phase timeline records
-/// and the cost/benefit trigger uses to discount unreliable forecasts.
+/// The persistence forecaster: each phase the caller feeds the measured
+/// per-rank loads (observe), and the forecaster predicts that the next
+/// phase repeats them (predict), together with the predicted imbalance
+/// λ̂ = max/avg − 1. This is the principle of persistence the paper's
+/// balancer already rests on (§III-B). The forecaster also scores itself:
+/// every observe() compares the measured loads against the forecast
+/// issued the phase before and folds the relative L1 error into a
+/// trailing EMA — the forecast-error metric the phase timeline records.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
-
-#include "policy/load_model.hpp"
 
 namespace tlb::policy {
 
@@ -26,37 +23,29 @@ struct Forecast {
   double load_avg = 0.0;
   /// Predicted imbalance λ̂ = max/avg − 1 (0 when avg is 0).
   double imbalance = 0.0;
-  /// False until the history holds at least one observation.
+  /// False until at least one observation has been made.
   bool valid = false;
 };
 
 class Forecaster {
 public:
-  /// \param model   Predictor applied to every rank's series.
-  /// \param window  Bounded per-rank history length (oldest dropped).
-  explicit Forecaster(std::unique_ptr<LoadModel> model,
-                      std::size_t window = 64);
-
-  [[nodiscard]] std::string_view model_name() const {
-    return model_->name();
-  }
-  [[nodiscard]] std::size_t window() const { return window_; }
   [[nodiscard]] std::uint64_t observations() const { return observations_; }
 
   /// Feed one phase's measured per-rank loads. The rank count is fixed by
   /// the first call; later calls must match. Scores the previous
-  /// forecast (if any) against `loads` before appending them.
+  /// forecast (if any) against `loads` before keeping them as the newest
+  /// observation.
   void observe(std::span<double const> loads);
 
-  /// Predict the next phase from the current history. Also retains the
-  /// forecast internally so the next observe() can score it.
+  /// Predict the next phase: the newest observation, clamped at 0. Also
+  /// retains the forecast internally so the next observe() can score it.
   [[nodiscard]] Forecast predict();
 
-  /// Replace the newest observation of every series with `loads`: called
-  /// after an LB pass reshuffles the placement, so the history's latest
-  /// point reflects the loads the *next* phase will actually start from
-  /// rather than the pre-migration measurement. No-op on empty history;
-  /// the rank count must match. Does not affect forecast scoring.
+  /// Replace the newest observation with `loads`: called after an LB pass
+  /// reshuffles the placement, so the next forecast starts from the loads
+  /// the *next* phase will actually start from rather than the
+  /// pre-migration measurement. No-op before the first observation; the
+  /// rank count must match. Does not affect forecast scoring.
   void rebase(std::span<double const> loads);
 
   /// Relative L1 error of the most recently scored forecast:
@@ -70,20 +59,12 @@ public:
   void clear();
 
 private:
-  std::unique_ptr<LoadModel> model_;
-  std::size_t window_;
-  /// history_[r] is rank r's series, oldest first, bounded by window_.
-  std::vector<std::vector<double>> history_;
+  std::vector<double> newest_;           ///< empty before any observation
   std::vector<double> pending_forecast_; ///< awaiting scoring; empty if none
   double last_error_ = 0.0;
   double error_ema_ = 0.0;
   std::uint64_t scored_ = 0;
   std::uint64_t observations_ = 0;
 };
-
-/// Imbalance λ = max/avg − 1 of a load vector (0 on empty or zero-mean
-/// input). Mirrors tlb::imbalance but lives here so the policy layer does
-/// not pull in the stats header's LoadType vocabulary.
-[[nodiscard]] double forecast_imbalance(std::span<double const> loads);
 
 } // namespace tlb::policy

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "support/assert.hpp"
+#include "support/stats.hpp"
 
 namespace tlb::policy {
 
@@ -27,6 +28,12 @@ template <typename T>
   return value;
 }
 
+/// A policy parameter in a name: the first four characters of its decimal
+/// form ("0.50", "12.5").
+[[nodiscard]] std::string short_number(double value) {
+  return std::to_string(value).substr(0, 4);
+}
+
 } // namespace
 
 void TriggerPolicy::record_outcome(bool /*invoked*/,
@@ -42,7 +49,7 @@ Decision AlwaysPolicy::decide(std::uint64_t /*phase*/,
   Decision d;
   d.invoke = true;
   d.reason = "unconditional";
-  d.forecast_imbalance = forecast_imbalance(loads);
+  d.forecast_imbalance = imbalance(loads);
   return d;
 }
 
@@ -51,31 +58,51 @@ Decision NeverPolicy::decide(std::uint64_t /*phase*/,
   Decision d;
   d.invoke = false;
   d.reason = "disabled";
-  d.forecast_imbalance = forecast_imbalance(loads);
+  d.forecast_imbalance = imbalance(loads);
   return d;
 }
 
 // ---------------------------------------------------------------------
-// Every-k
+// Periodic
 // ---------------------------------------------------------------------
 
-EveryKPolicy::EveryKPolicy(std::uint64_t k)
-    : k_{k}, name_{"every-" + std::to_string(k)} {
-  TLB_EXPECTS(k >= 1);
+PeriodicPolicy::PeriodicPolicy(std::uint64_t first, std::uint64_t period,
+                               double trigger, std::uint64_t cooldown)
+    : first_{first}, period_{period}, trigger_{trigger}, cooldown_{cooldown},
+      name_{"every-" + std::to_string(period)} {
+  TLB_EXPECTS(period >= 1);
+  TLB_EXPECTS(trigger >= 0.0);
+  if (first > 0) {
+    name_ += "-from-" + std::to_string(first);
+  }
+  if (trigger > 0.0) {
+    name_ += "-trigger-" + short_number(trigger) + "-cooldown-" +
+             std::to_string(cooldown);
+  }
 }
 
-Decision EveryKPolicy::decide(std::uint64_t /*phase*/,
-                              std::span<double const> loads) {
+Decision PeriodicPolicy::decide(std::uint64_t phase,
+                                std::span<double const> loads) {
   Decision d;
-  d.forecast_imbalance = forecast_imbalance(loads);
-  if (first_ || since_last_ + 1 >= k_) {
+  d.forecast_imbalance = imbalance(loads);
+  if (phase == first_) {
+    d.invoke = true;
+    d.reason = "first phase";
+  } else if (phase > first_ && phase % period_ == 0) {
     d.invoke = true;
     d.reason = "period elapsed";
-    first_ = false;
-    since_last_ = 0;
+  } else if (trigger_ > 0.0 && phase > first_ &&
+             d.forecast_imbalance > trigger_ &&
+             (!last_invoked_ || phase - *last_invoked_ >= cooldown_)) {
+    // React to measured imbalance between periodic invocations, with a
+    // cooldown so a residual imbalance floor cannot thrash the balancer.
+    d.invoke = true;
+    d.reason = "lambda above trigger";
   } else {
     d.reason = "inside period";
-    ++since_last_;
+  }
+  if (d.invoke) {
+    last_invoked_ = phase;
   }
   return d;
 }
@@ -86,8 +113,7 @@ Decision EveryKPolicy::decide(std::uint64_t /*phase*/,
 
 ThresholdPolicy::ThresholdPolicy(double lambda_threshold)
     : threshold_{lambda_threshold},
-      forecaster_{make_load_model("persistence")},
-      name_{"threshold-" + std::to_string(lambda_threshold).substr(0, 4)} {
+      name_{"threshold-" + short_number(lambda_threshold)} {
   TLB_EXPECTS(lambda_threshold >= 0.0);
 }
 
@@ -103,19 +129,9 @@ Decision ThresholdPolicy::decide(std::uint64_t /*phase*/,
   return d;
 }
 
-void ThresholdPolicy::record_outcome(bool /*invoked*/,
-                                     double /*lb_cost_seconds*/,
-                                     std::span<double const> /*loads_after*/) {
-}
-
 // ---------------------------------------------------------------------
 // Cost/benefit
 // ---------------------------------------------------------------------
-
-CostBenefitPolicy::CostBenefitPolicy(Params params)
-    : params_{std::move(params)},
-      forecaster_{make_load_model(params_.model), params_.window},
-      name_{"costbenefit-" + params_.model} {}
 
 Decision CostBenefitPolicy::decide(std::uint64_t /*phase*/,
                                    std::span<double const> loads) {
@@ -132,7 +148,7 @@ Decision CostBenefitPolicy::decide(std::uint64_t /*phase*/,
   double const gain_next =
       std::max(0.0, forecast.load_max - forecast.load_avg);
 
-  if (forecast.imbalance < params_.lambda_floor) {
+  if (forecast.imbalance < kLambdaFloor) {
     // Balanced (or noise-level) forecast: nothing to gain. The
     // accumulator is intentionally left alone — a paused drift resumes
     // where it left off.
@@ -168,12 +184,12 @@ void CostBenefitPolicy::record_outcome(bool invoked, double lb_cost_seconds,
   accumulated_gain_ = 0.0;
   cost_ema_ = cost_ema_ < 0.0
                   ? lb_cost_seconds
-                  : params_.cost_ema_alpha * lb_cost_seconds +
-                        (1.0 - params_.cost_ema_alpha) * cost_ema_;
+                  : kCostEmaAlpha * lb_cost_seconds +
+                        (1.0 - kCostEmaAlpha) * cost_ema_;
   if (!loads_after.empty()) {
-    // The placement just changed: re-seed the newest history point with
-    // the projected post-LB loads so the next forecast extrapolates from
-    // the state the next phase will actually start in.
+    // The placement just changed: re-seed the newest observation with
+    // the projected post-LB loads so the next forecast starts from the
+    // state the next phase will actually start in.
     forecaster_.rebase(loads_after);
   }
 }
@@ -195,7 +211,7 @@ std::unique_ptr<TriggerPolicy> make_policy(std::string_view spec) {
       throw std::invalid_argument("every-k needs an integer k >= 1: " +
                                   std::string{spec});
     }
-    return std::make_unique<EveryKPolicy>(k);
+    return std::make_unique<PeriodicPolicy>(0, k);
   }
   if (spec.rfind("threshold-", 0) == 0) {
     auto const lambda = parse_suffix<double>(spec, "threshold-");
@@ -208,13 +224,6 @@ std::unique_ptr<TriggerPolicy> make_policy(std::string_view spec) {
   }
   if (spec == "costbenefit") {
     return std::make_unique<CostBenefitPolicy>();
-  }
-  if (spec.rfind("costbenefit-", 0) == 0) {
-    CostBenefitPolicy::Params params;
-    params.model = std::string{spec.substr(std::string_view{"costbenefit-"}
-                                               .size())};
-    (void)make_load_model(params.model); // validate the model name now
-    return std::make_unique<CostBenefitPolicy>(std::move(params));
   }
   throw std::invalid_argument("unknown policy spec: " + std::string{spec});
 }

@@ -2,24 +2,25 @@
 
 /// \file trigger_policy.hpp
 /// The decision layer between observation and action: should the LB run
-/// after this phase? The repo previously invoked the balancer
-/// unconditionally (or on a fixed period); a TriggerPolicy instead sees
-/// each phase's measured per-rank loads and decides invoke-or-skip, with
-/// outcome feedback (did the LB run, what did it measurably cost) closing
-/// the loop. LbManager::invoke_if_beneficial drives one and records every
-/// decision — including skips — into the phase timeline.
+/// after this phase? A TriggerPolicy sees each phase's measured per-rank
+/// loads and decides invoke-or-skip, with outcome feedback (did the LB
+/// run, what did it measurably cost) closing the loop.
+/// LbManager::invoke_if_beneficial drives one and records every
+/// decision — including skips — into the phase timeline. It is the only
+/// way PicApp and run_policy_sim invoke the balancer.
 ///
 /// Policies (make_policy specs in parentheses):
-///   always       ("always")          — invoke every phase (the old behavior)
+///   always       ("always")          — invoke every phase
 ///   never        ("never")           — never invoke (the no-LB baseline)
-///   every-k      ("every-4")         — fixed period k
+///   periodic     ("every-4")         — phase `first`, then every multiple
+///     of a period, plus an optional λ trigger with a cooldown. PicApp's
+///     schedule (step 2, then every 100th, §VI) and E13's imbalance
+///     trigger are this policy; the spec "every-<k>" is first = 0.
 ///   λ-threshold  ("threshold-0.5")   — invoke when forecast λ̂ exceeds λ*
-///   cost/benefit ("costbenefit[-<model>]") — invoke only when the
-///     accumulated forecast time-saved since the last invocation exceeds
-///     the EMA of the measured LB cost (the criterion shape of Boulmier
-///     et al., arXiv:2104.01688, on top of the forecast models of
-///     arXiv:1909.07168); <model> picks the load model, default
-///     "persistence"
+///   cost/benefit ("costbenefit")     — invoke only when the accumulated
+///     forecast time-saved since the last invocation exceeds the EMA of
+///     the measured LB cost (the criterion shape of Boulmier et al.,
+///     arXiv:2104.01688), forecasting by persistence
 ///
 /// All policies are pure state machines over their inputs: deterministic,
 /// no randomness, no clocks — a decision sequence is reproducible from
@@ -27,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,7 +47,7 @@ struct Decision {
   std::string_view reason;
   /// Forecast next-phase imbalance λ̂ (0 when the policy does not forecast).
   double forecast_imbalance = 0.0;
-  /// Trailing forecast-error EMA of the policy's model (0 when n/a).
+  /// Trailing forecast-error EMA of the policy's forecaster (0 when n/a).
   double forecast_error = 0.0;
   /// Accumulated forecast time-saved if the LB runs now (seconds of
   /// simulated work; 0 when the policy does not estimate it).
@@ -92,19 +94,24 @@ public:
                                 std::span<double const> loads) override;
 };
 
-/// Invoke on the first decision and every k-th thereafter.
-class EveryKPolicy final : public TriggerPolicy {
+/// Invoke at phase `first` and at every later multiple of `period`. With
+/// `trigger` > 0, also invoke at a later phase whose measured λ exceeds
+/// `trigger` (strictly), once `cooldown` phases have passed since the last
+/// invocation, periodic ones included. The name encodes the parameters.
+class PeriodicPolicy final : public TriggerPolicy {
 public:
-  explicit EveryKPolicy(std::uint64_t k);
+  PeriodicPolicy(std::uint64_t first, std::uint64_t period,
+                 double trigger = 0.0, std::uint64_t cooldown = 0);
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::uint64_t k() const { return k_; }
   [[nodiscard]] Decision decide(std::uint64_t phase,
                                 std::span<double const> loads) override;
 
 private:
-  std::uint64_t k_;
-  std::uint64_t since_last_ = 0; ///< decisions since the last invoke
-  bool first_ = true;
+  std::uint64_t first_;
+  std::uint64_t period_;
+  double trigger_;
+  std::uint64_t cooldown_;
+  std::optional<std::uint64_t> last_invoked_;
   std::string name_;
 };
 
@@ -115,11 +122,8 @@ class ThresholdPolicy final : public TriggerPolicy {
 public:
   explicit ThresholdPolicy(double lambda_threshold);
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] Decision decide(std::uint64_t phase,
                                 std::span<double const> loads) override;
-  void record_outcome(bool invoked, double lb_cost_seconds,
-                      std::span<double const> loads_after) override;
 
 private:
   double threshold_;
@@ -132,31 +136,21 @@ private:
 /// balance) across skipped phases, and invoke once that accumulated gain
 /// exceeds the EMA of the measured LB invocation cost. Before any cost
 /// has been measured the policy invokes on the first imbalanced phase to
-/// obtain one. A small λ̂ floor keeps it quiet on balanced phases where
-/// the forecast gain is noise.
-struct CostBenefitParams {
-  /// Forecast model name (make_load_model). Persistence is the default —
-  /// the paper's own forecasting premise — and sweeps measurably best
-  /// across the scenario library; trend/periodic are opt-in for workloads
-  /// known to ramp or cycle.
-  std::string model = "persistence";
-  /// λ̂ below this never triggers (noise floor). The default is set where
-  /// a rebalance bought at λ̂ ≈ floor cannot repay a typical invocation
-  /// cost before the workload moves again — low-λ̂ phases (e.g. a seasonal
-  /// swing's zero crossings) are left alone.
-  double lambda_floor = 0.1;
-  /// Weight of the newest measured cost in the cost EMA.
-  double cost_ema_alpha = 0.3;
-  /// Forecaster history window.
-  std::size_t window = 64;
-};
-
+/// obtain one. A λ̂ floor keeps it quiet on balanced phases where the
+/// forecast gain is noise.
 class CostBenefitPolicy final : public TriggerPolicy {
 public:
-  using Params = CostBenefitParams;
+  /// λ̂ below this never triggers (noise floor). It is set where a
+  /// rebalance bought at λ̂ ≈ floor cannot repay a typical invocation
+  /// cost before the workload moves again — low-λ̂ phases (e.g. a seasonal
+  /// swing's zero crossings) are left alone.
+  static constexpr double kLambdaFloor = 0.1;
+  /// Weight of the newest measured cost in the cost EMA.
+  static constexpr double kCostEmaAlpha = 0.3;
 
-  explicit CostBenefitPolicy(Params params = Params{});
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override {
+    return "costbenefit";
+  }
   [[nodiscard]] Decision decide(std::uint64_t phase,
                                 std::span<double const> loads) override;
   void record_outcome(bool invoked, double lb_cost_seconds,
@@ -165,20 +159,17 @@ public:
   /// EMA of measured LB cost (seconds); negative until first measurement.
   [[nodiscard]] double cost_ema() const { return cost_ema_; }
   [[nodiscard]] double accumulated_gain() const { return accumulated_gain_; }
-  [[nodiscard]] Forecaster const& forecaster() const { return forecaster_; }
 
 private:
-  Params params_;
   Forecaster forecaster_;
   double accumulated_gain_ = 0.0;
   double cost_ema_ = -1.0; ///< sentinel: no cost measured yet
-  std::string name_;
 };
 
 /// Parse a policy spec: "always", "never", "every-<k>" (k an integer
-/// >= 1), "threshold-<λ>" (λ a finite number >= 0), "costbenefit", or
-/// "costbenefit-<model>". Throws std::invalid_argument on anything else,
-/// including a malformed or out-of-range parameter.
+/// >= 1), "threshold-<λ>" (λ a finite number >= 0) or "costbenefit".
+/// Throws std::invalid_argument on anything else, including a malformed
+/// or out-of-range parameter.
 [[nodiscard]] std::unique_ptr<TriggerPolicy> make_policy(
     std::string_view spec);
 

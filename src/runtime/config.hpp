@@ -41,11 +41,6 @@ struct RuntimeConfig {
   /// exactly one worker at a time, so per-rank handler execution stays
   /// single-threaded).
   int num_threads = 1;
-  /// Shards carved per worker for the work-stealing driver (clamped so a
-  /// shard never goes empty). More shards = finer-grained stealing at the
-  /// cost of more claim traffic; 4 keeps idle time low for the skewed
-  /// workloads the LB rounds produce without measurable claim overhead.
-  int shards_per_worker = 4;
   /// The single root seed of every stochastic component in a run. All
   /// randomized machinery derives its stream from it by splitmix splits:
   ///   - per-rank handler RNGs (gossip peer selection, CMF sampling,

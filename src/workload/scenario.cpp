@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/json_in.hpp"
@@ -160,6 +162,25 @@ public:
   }
 };
 
+/// A trace field that must be a whole number in [lo, hi], checked before
+/// any cast: a fraction, a non-finite or an out-of-range value throws.
+[[nodiscard]] std::int64_t trace_integer(double value, double lo, double hi,
+                                         char const* what) {
+  if (!(value >= lo && value <= hi) || std::trunc(value) != value) {
+    throw std::runtime_error(std::string{"trace scenario: bad "} + what);
+  }
+  return static_cast<std::int64_t>(value);
+}
+
+/// A trace load (or load sum) must be finite and non-negative.
+[[nodiscard]] double trace_load(double value) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::runtime_error(
+        "trace scenario: load is not finite and non-negative");
+  }
+  return value;
+}
+
 /// Replays per-rank loads reconstructed from a PhaseTimeline export.
 class TraceScenario final : public Scenario {
 public:
@@ -219,10 +240,9 @@ std::unique_ptr<Scenario> make_trace_scenario(std::string_view timeline_json,
     if (!s.has("snapshot_ranks")) {
       throw std::runtime_error("trace scenario: sample without snapshot");
     }
-    auto const ranks = static_cast<RankId>(s.at("snapshot_ranks").num());
-    if (ranks <= 0) {
-      throw std::runtime_error("trace scenario: sample without snapshot");
-    }
+    auto const ranks = static_cast<RankId>(
+        trace_integer(s.at("snapshot_ranks").num(), 1.0,
+                      std::numeric_limits<RankId>::max(), "snapshot_ranks"));
     if (num_ranks == 0) {
       num_ranks = ranks;
     } else if (ranks != num_ranks) {
@@ -232,18 +252,21 @@ std::unique_ptr<Scenario> make_trace_scenario(std::string_view timeline_json,
     std::vector<bool> is_top(static_cast<std::size_t>(ranks), false);
     auto const& top = s.at("top_loads").array();
     for (auto const& entry : top) {
-      auto const r = static_cast<std::size_t>(entry.at("rank").num());
-      if (r >= row.size()) {
-        throw std::runtime_error("trace scenario: snapshot rank out of range");
+      auto const r = static_cast<std::size_t>(trace_integer(
+          entry.at("rank").num(), 0.0, ranks - 1, "snapshot rank"));
+      if (is_top[r]) {
+        throw std::runtime_error("trace scenario: duplicate snapshot rank");
       }
-      row[r] = entry.at("load").num();
+      row[r] = trace_load(entry.at("load").num());
       is_top[r] = true;
     }
-    // Spread the collapsed remainder evenly over the non-top ranks.
+    // Spread the collapsed remainder evenly over the non-top ranks (the
+    // top ranks are distinct and in range, so there are no more of them
+    // than ranks).
+    double const rest_sum = trace_load(s.at("rest_load_sum").num());
     auto const rest_count = row.size() - top.size();
     if (rest_count > 0) {
-      double const rest_each =
-          s.at("rest_load_sum").num() / static_cast<double>(rest_count);
+      double const rest_each = rest_sum / static_cast<double>(rest_count);
       for (std::size_t r = 0; r < row.size(); ++r) {
         if (!is_top[r]) {
           row[r] = rest_each;
@@ -261,6 +284,9 @@ std::unique_ptr<Scenario> make_trace_scenario(std::string_view timeline_json,
       total += l;
     }
     cells += row.size();
+  }
+  if (!std::isfinite(total)) {
+    throw std::runtime_error("trace scenario: total load overflows");
   }
   double const mean = total / static_cast<double>(cells);
   if (mean > 0.0) {

@@ -154,7 +154,7 @@ TEST(PhaseTimeline, JsonExportCarriesDecisionAndSnapshotFields) {
   PhaseTimeline timeline{4};
   auto s = sample(5);
   s.lb_invoked = false;
-  s.policy = "costbenefit-persistence";
+  s.policy = "costbenefit";
   s.decision_reason = "gain below cost";
   s.forecast_imbalance = 0.75;
   s.forecast_error = 0.125;
@@ -168,7 +168,7 @@ TEST(PhaseTimeline, JsonExportCarriesDecisionAndSnapshotFields) {
   auto const doc = test::parse_json(os.str());
   auto const& entry = doc.at("timeline").array().at(0);
   EXPECT_FALSE(entry.at("lb_invoked").boolean());
-  EXPECT_EQ(entry.at("policy").str(), "costbenefit-persistence");
+  EXPECT_EQ(entry.at("policy").str(), "costbenefit");
   EXPECT_EQ(entry.at("reason").str(), "gain below cost");
   EXPECT_EQ(entry.at("forecast_imbalance").num(), 0.75);
   EXPECT_EQ(entry.at("forecast_error").num(), 0.125);

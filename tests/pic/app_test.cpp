@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/causal.hpp"
+#include "obs/phase_timeline.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/tracer.hpp"
+
 namespace tlb::pic {
 namespace {
 
@@ -196,6 +203,80 @@ TEST(PicApp, AdaptiveTriggerRespectsCooldown) {
       last = m.step;
     } else if (m.t_lb > 0.0) {
       last = m.step;
+    }
+  }
+}
+
+/// Steps whose t_lb is positive: where the balancer ran.
+std::vector<int> lb_steps(RunResult const& result) {
+  std::vector<int> steps;
+  for (auto const& m : result.steps) {
+    if (m.t_lb > 0.0) {
+      steps.push_back(m.step);
+    }
+  }
+  return steps;
+}
+
+TEST(PicApp, LbReportPhasesAreSteps) {
+  auto cfg = small_config(25); // first_lb_step 2, lb_period 10
+  PicApp app{cfg};
+  auto const result = app.run();
+  EXPECT_EQ(lb_steps(result), (std::vector<int>{2, 10, 20}));
+  auto const& history = app.lb_manager()->history();
+  ASSERT_EQ(history.size(), 3u);
+  EXPECT_EQ(history[0].phase, 2u);
+  EXPECT_EQ(history[1].phase, 10u);
+  EXPECT_EQ(history[2].phase, 20u);
+}
+
+TEST(PicApp, TracedRunRecordsEveryStep) {
+  bool const was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::PhaseTimeline::instance().clear();
+  auto cfg = small_config(20);
+  cfg.lb_period = 5;
+  PicApp app{cfg};
+  (void)app.run();
+  auto const samples = obs::PhaseTimeline::instance().samples();
+  obs::set_enabled(was_enabled);
+  obs::Tracer::instance().clear();
+  obs::CausalLog::instance().clear();
+  obs::PhaseTimeline::instance().clear();
+
+  // One sample per step, numbered by step, each naming the policy that
+  // decided it; the balancer ran at steps 2, 5, 10 and 15.
+  ASSERT_EQ(samples.size(), 20u);
+  std::vector<std::uint64_t> invoked;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].phase, i);
+    EXPECT_FALSE(samples[i].policy.empty()) << "step " << i;
+    if (samples[i].lb_invoked) {
+      invoked.push_back(samples[i].phase);
+    }
+  }
+  EXPECT_EQ(invoked, (std::vector<std::uint64_t>{2, 5, 10, 15}));
+}
+
+TEST(PicApp, LbCostIsTheCostModelPrice) {
+  for (char const* spec : {"", "costbenefit"}) {
+    auto cfg = small_config(30);
+    cfg.policy = spec;
+    PicApp app{cfg};
+    auto const result = app.run();
+    lb::LbCostModel const model{cfg.work.lb_per_message, cfg.work.lb_per_byte,
+                                cfg.work.migration_per_byte, 0.0};
+    auto const steps = lb_steps(result);
+    auto const& history = app.lb_manager()->history();
+    ASSERT_FALSE(history.empty()) << "policy '" << spec << "'";
+    ASSERT_EQ(steps.size(), history.size()) << "policy '" << spec << "'";
+    for (std::size_t i = 0; i < history.size(); ++i) {
+      auto const& report = history[i];
+      ASSERT_EQ(report.phase, static_cast<std::size_t>(steps[i]));
+      EXPECT_EQ(result.steps[report.phase].t_lb,
+                model.cost(report.cost.lb_messages, report.cost.lb_bytes,
+                           report.migration_payload_bytes))
+          << "policy '" << spec << "', step " << report.phase;
     }
   }
 }

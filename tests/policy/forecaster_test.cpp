@@ -1,7 +1,7 @@
 /// \file forecaster_test.cpp
-/// The Forecaster's contracts: per-rank history management, forecast
-/// validity, self-scoring (relative L1 error + EMA), and the post-LB
-/// rebase that re-seeds the newest history point.
+/// The persistence Forecaster's contracts: forecast validity, the
+/// newest-observation forecast, self-scoring (relative L1 error + EMA),
+/// and the post-LB rebase that re-seeds the newest observation.
 
 #include <vector>
 
@@ -13,14 +13,14 @@ namespace tlb::policy {
 namespace {
 
 TEST(Forecaster, InvalidBeforeAnyObservation) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   auto const forecast = f.predict();
   EXPECT_FALSE(forecast.valid);
   EXPECT_TRUE(forecast.loads.empty());
 }
 
 TEST(Forecaster, PersistencePredictsTheLastObservation) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   f.observe(std::vector<double>{1.0, 2.0, 3.0});
   f.observe(std::vector<double>{2.0, 4.0, 6.0});
   auto const forecast = f.predict();
@@ -32,7 +32,7 @@ TEST(Forecaster, PersistencePredictsTheLastObservation) {
 }
 
 TEST(Forecaster, ScoresThePreviousForecast) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   f.observe(std::vector<double>{2.0, 2.0});
   (void)f.predict(); // forecast {2, 2}
   // Measured exactly as forecast: zero error.
@@ -46,7 +46,7 @@ TEST(Forecaster, ScoresThePreviousForecast) {
 }
 
 TEST(Forecaster, UnscoredPhasesDoNotCountAsErrors) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   // observe without predict between: nothing pending, nothing scored.
   f.observe(std::vector<double>{1.0});
   f.observe(std::vector<double>{5.0});
@@ -55,7 +55,7 @@ TEST(Forecaster, UnscoredPhasesDoNotCountAsErrors) {
 }
 
 TEST(Forecaster, RebaseReplacesTheNewestPoint) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   f.observe(std::vector<double>{9.0, 1.0});
   f.rebase(std::vector<double>{5.0, 5.0});
   auto const forecast = f.predict();
@@ -65,36 +65,26 @@ TEST(Forecaster, RebaseReplacesTheNewestPoint) {
 }
 
 TEST(Forecaster, RebaseOnEmptyHistoryIsANoOp) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   f.rebase(std::vector<double>{1.0, 2.0});
   EXPECT_FALSE(f.predict().valid);
 }
 
-TEST(Forecaster, WindowBoundsTheHistory) {
-  Forecaster f{make_load_model("trend"), 4};
-  // A long v-shape: with an unbounded window the early descent would drag
-  // the fitted slope down; the 4-wide window sees only the ascent.
-  for (double v : {9.0, 7.0, 5.0, 3.0, 1.0, 2.0, 3.0, 4.0}) {
-    f.observe(std::vector<double>{v});
-  }
+TEST(Forecaster, ClampsNegativeObservations) {
+  Forecaster f;
+  f.observe(std::vector<double>{-2.0, 4.0});
   auto const forecast = f.predict();
   ASSERT_TRUE(forecast.valid);
-  EXPECT_NEAR(forecast.loads[0], 5.0, 1e-9);
+  EXPECT_EQ(forecast.loads, (std::vector<double>{0.0, 4.0}));
+  EXPECT_DOUBLE_EQ(forecast.load_avg, 2.0);
 }
 
 TEST(Forecaster, ClearForgetsEverything) {
-  Forecaster f{make_load_model("persistence")};
+  Forecaster f;
   f.observe(std::vector<double>{1.0});
   f.clear();
   EXPECT_FALSE(f.predict().valid);
   EXPECT_EQ(f.observations(), 0u);
-}
-
-TEST(ForecastImbalance, MatchesTheLambdaDefinition) {
-  EXPECT_DOUBLE_EQ(forecast_imbalance(std::vector<double>{}), 0.0);
-  EXPECT_DOUBLE_EQ(forecast_imbalance(std::vector<double>{0.0, 0.0}), 0.0);
-  EXPECT_DOUBLE_EQ(forecast_imbalance(std::vector<double>{2.0, 2.0}), 0.0);
-  EXPECT_DOUBLE_EQ(forecast_imbalance(std::vector<double>{3.0, 1.0}), 0.5);
 }
 
 } // namespace

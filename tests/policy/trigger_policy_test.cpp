@@ -2,13 +2,19 @@
 /// The trigger policies' decision contracts, focused on the cost/benefit
 /// criterion: quiet on balanced phases, probing before any cost is known,
 /// accumulating forecast gain across skips, and firing once the
-/// accumulated gain passes the measured-cost EMA.
+/// accumulated gain passes the measured-cost EMA. PeriodicPolicy must
+/// reproduce, decision for decision, the schedule PicApp used to run on
+/// its own.
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "policy/trigger_policy.hpp"
+#include "support/rng.hpp"
+#include "support/stats.hpp"
 
 namespace tlb::policy {
 namespace {
@@ -38,8 +44,8 @@ TEST(NeverPolicy, NeverInvokes) {
   }
 }
 
-TEST(EveryKPolicy, FiresFirstAndThenEveryK) {
-  EveryKPolicy p{3};
+TEST(PeriodicPolicy, FiresFirstAndThenEveryK) {
+  PeriodicPolicy p{0, 3};
   std::string decisions;
   for (std::uint64_t phase = 0; phase < 7; ++phase) {
     decisions += p.decide(phase, balanced(4)).invoke ? 'I' : 'S';
@@ -83,11 +89,9 @@ TEST(CostBenefitPolicy, ProbesOnTheFirstImbalancedPhase) {
 }
 
 TEST(CostBenefitPolicy, AccumulatesGainAcrossSkipsUntilCostIsCovered) {
-  // Persistence model for exact arithmetic: the forecast equals the
-  // measured loads, so the per-phase gain is max − avg of the input.
-  CostBenefitPolicy::Params params;
-  params.model = "persistence";
-  CostBenefitPolicy p{params};
+  // The persistence forecast equals the measured loads, so the per-phase
+  // gain is max − avg of the input.
+  CostBenefitPolicy p;
   // Probe once and report an expensive invocation (cost 5.0 s), leaving
   // the placement balanced.
   ASSERT_TRUE(p.decide(0, one_hot(4, 5.0)).invoke);
@@ -115,15 +119,14 @@ TEST(CostBenefitPolicy, AccumulatesGainAcrossSkipsUntilCostIsCovered) {
 }
 
 TEST(CostBenefitPolicy, InvokeResetsTheAccumulatorAndUpdatesTheCostEma) {
-  CostBenefitPolicy::Params params;
-  params.cost_ema_alpha = 0.5;
-  CostBenefitPolicy p{params};
+  CostBenefitPolicy p;
   ASSERT_TRUE(p.decide(0, one_hot(4, 9.0)).invoke);
   p.record_outcome(true, 2.0, {});
   EXPECT_DOUBLE_EQ(p.cost_ema(), 2.0);
   ASSERT_TRUE(p.decide(1, one_hot(4, 9.0)).invoke); // gain 6 > cost 2
   p.record_outcome(true, 4.0, {});
-  EXPECT_DOUBLE_EQ(p.cost_ema(), 0.5 * 4.0 + 0.5 * 2.0);
+  // The newest cost weighs α = 0.3.
+  EXPECT_DOUBLE_EQ(p.cost_ema(), 0.3 * 4.0 + 0.7 * 2.0);
   EXPECT_DOUBLE_EQ(p.accumulated_gain(), 0.0);
 }
 
@@ -148,15 +151,17 @@ TEST(MakePolicy, ParsesEverySpecFamily) {
   EXPECT_EQ(make_policy("threshold-0.5")->name(), "threshold-0.50");
   EXPECT_EQ(make_policy("threshold-0")->name(), "threshold-0.00");
   EXPECT_EQ(make_policy("threshold-1e-3")->name(), "threshold-0.00");
-  EXPECT_EQ(make_policy("costbenefit")->name(), "costbenefit-persistence");
-  EXPECT_EQ(make_policy("costbenefit-trend")->name(), "costbenefit-trend");
-  EXPECT_EQ(make_policy("costbenefit-ema")->name(), "costbenefit-ema");
+  EXPECT_EQ(make_policy("costbenefit")->name(), "costbenefit");
 }
 
 TEST(MakePolicy, RejectsMalformedSpecs) {
   EXPECT_THROW((void)make_policy("sometimes"), std::invalid_argument);
-  EXPECT_THROW((void)make_policy("costbenefit-kalman"),
-               std::invalid_argument);
+  // costbenefit takes no parameter: it always forecasts by persistence.
+  for (char const* spec :
+       {"costbenefit-", "costbenefit-persistence", "costbenefit-ema",
+        "costbenefit-trend", "costbenefit-periodic", "costbenefit-kalman"}) {
+    EXPECT_THROW((void)make_policy(spec), std::invalid_argument) << spec;
+  }
   // every-k: k is an integer >= 1, written out in full. Fractions,
   // exponents, signs, non-finite values and out-of-range integers are
   // malformed, not rounded, wrapped or converted.
@@ -185,3 +190,96 @@ TEST(PolicySpecs, AreAllParseable) {
 
 } // namespace
 } // namespace tlb::policy
+
+namespace {
+
+/// PicApp's schedule parameters (PicConfig's int fields).
+struct PicSchedule {
+  int first;
+  int period;
+  double trigger;
+  int cooldown;
+};
+
+/// Readable, deterministic test names (ctest lists the printed value).
+void PrintTo(PicSchedule const& c, std::ostream* os) {
+  *os << "first " << c.first << ", period " << c.period << ", trigger "
+      << c.trigger << ", cooldown " << c.cooldown;
+}
+
+/// A seeded 300-phase series of 4-rank loads: one hot rank puts λ
+/// anywhere in [0, 2.2], mixed with balanced phases (λ = 0) and phases
+/// of exactly λ = 0.5 (max 3 over mean 2), so every trigger below is
+/// crossed both ways and the 0.5 trigger's strictness is exercised.
+std::vector<std::vector<double>> schedule_series() {
+  tlb::Rng rng{0x9e71};
+  std::vector<std::vector<double>> series;
+  for (int phase = 0; phase < 300; ++phase) {
+    switch (rng.uniform_below(6)) {
+    case 0: series.push_back({1.0, 1.0, 1.0, 1.0}); break;
+    case 1: series.push_back({3.0, 1.0, 3.0, 1.0}); break;
+    default: series.push_back({rng.uniform(0.5, 12.0), 1.0, 1.0, 1.0});
+    }
+  }
+  return series;
+}
+
+/// The fixture shares PeriodicPolicy's name, so the test body names the
+/// policy class in full.
+class PeriodicPolicy : public ::testing::TestWithParam<PicSchedule> {};
+
+TEST_P(PeriodicPolicy, MatchesTheDeletedPicSchedule) {
+  PicSchedule const c = GetParam();
+  // PicApp's own schedule predicate before it became a PeriodicPolicy,
+  // written out with the last-invocation bookkeeping PicApp::run kept.
+  int last_lb = -1;
+  auto const pic_schedule = [&](int step, double measured_imbalance) {
+    if (step == c.first) {
+      return true;
+    }
+    if (step > c.first && step % c.period == 0) {
+      return true;
+    }
+    return c.trigger > 0.0 && step > c.first &&
+           measured_imbalance > c.trigger && step - last_lb >= c.cooldown;
+  };
+
+  tlb::policy::PeriodicPolicy policy{static_cast<std::uint64_t>(c.first),
+                                     static_cast<std::uint64_t>(c.period),
+                                     c.trigger,
+                                     static_cast<std::uint64_t>(c.cooldown)};
+  std::string expected;
+  std::string actual;
+  int above = 0;
+  auto const series = schedule_series();
+  for (int step = 0; step < static_cast<int>(series.size()); ++step) {
+    auto const& loads = series[static_cast<std::size_t>(step)];
+    double const lambda = tlb::imbalance(loads);
+    bool const invoke = pic_schedule(step, lambda);
+    if (invoke) {
+      last_lb = step;
+    }
+    expected += invoke ? 'I' : 'S';
+    actual +=
+        policy.decide(static_cast<std::uint64_t>(step), loads).invoke ? 'I'
+                                                                      : 'S';
+    above += lambda > c.trigger ? 1 : 0;
+  }
+  if (c.trigger > 0.0) {
+    EXPECT_GT(above, 0) << "the series must cross the trigger";
+    EXPECT_LT(above, static_cast<int>(series.size()));
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PicSchedules, PeriodicPolicy,
+    ::testing::Values(PicSchedule{0, 1, 0.0, 0}, PicSchedule{0, 4, 0.0, 0},
+                      PicSchedule{2, 100, 0.0, 10},
+                      PicSchedule{2, 5, 0.0, 10},
+                      PicSchedule{2, 20, 0.3, 5},
+                      PicSchedule{2, 1000, 0.01, 7},
+                      PicSchedule{2, 100, 2.0, 10},
+                      PicSchedule{2, 100, 0.5, 10}));
+
+} // namespace

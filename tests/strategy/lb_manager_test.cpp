@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <tuple>
+
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -200,6 +204,42 @@ TEST(LbManager, PhaseNumberingAdvancesAcrossSkips) {
   EXPECT_EQ(manager.history().size(), 1u);
   EXPECT_EQ(manager.history().back().phase, 2u);
 }
+
+/// A task load must be finite and non-negative at both entry points,
+/// before any policy or strategy sees it: a StrategyInput built directly
+/// bypasses PhaseInstrumentation::record's check.
+class LbManagerDeath
+    : public ::testing::TestWithParam<std::tuple<LoadType, std::string>> {};
+
+TEST_P(LbManagerDeath, InvalidTaskLoadAborts) {
+  auto const [load, entry] = GetParam();
+  rt::Runtime rt{config(2)};
+  rt::ObjectStore store{2};
+  StrategyInput input;
+  input.tasks.resize(2);
+  input.tasks[0].push_back({0, 1.0});
+  input.tasks[0].push_back({1, load});
+  store.create(0, 0, std::make_unique<Chunk>(8));
+  store.create(0, 1, std::make_unique<Chunk>(8));
+  LbManager manager{rt, "greedy", LbParams::tempered()};
+  if (entry == "invoke") {
+    EXPECT_DEATH((void)manager.invoke(input, store), "precondition");
+  } else {
+    // "never" would skip the balancer, so only the input check can abort.
+    auto never = policy::make_policy("never");
+    EXPECT_DEATH((void)manager.invoke_if_beneficial(input, store, *never),
+                 "precondition");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NegativeOrNonFinite, LbManagerDeath,
+    ::testing::Combine(
+        ::testing::Values(std::numeric_limits<LoadType>::quiet_NaN(),
+                          std::numeric_limits<LoadType>::infinity(),
+                          -std::numeric_limits<LoadType>::infinity(), -1.0),
+        ::testing::Values(std::string{"invoke"},
+                          std::string{"invoke_if_beneficial"})));
 
 } // namespace
 } // namespace tlb::lb

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,6 +248,39 @@ TEST(TraceScenario, RejectsMalformedDocuments) {
       (void)make_trace_scenario(
           "{\"timeline\": [{\"phase\": 0, \"snapshot_ranks\": 0}]}"),
       std::runtime_error);
+  // Hostile snapshots: rank counts and ranks must be integers in range
+  // (checked before any cast), loads and the remainder finite and >= 0,
+  // no rank listed twice, and the loads' total finite.
+  for (std::string const snapshot : {
+           R"("snapshot_ranks": 2, "rest_load_sum": 1,
+              "top_loads": [{"rank": 0, "load": -3}])",
+           R"("snapshot_ranks": 2, "rest_load_sum": 1,
+              "top_loads": [{"rank": 0, "load": 1e400}])",
+           R"("snapshot_ranks": 2, "rest_load_sum": -1,
+              "top_loads": [{"rank": 0, "load": 3}])",
+           R"("snapshot_ranks": 4.5, "rest_load_sum": 3,
+              "top_loads": [{"rank": 0, "load": 3}])",
+           R"("snapshot_ranks": 1e30, "rest_load_sum": 3,
+              "top_loads": [{"rank": 0, "load": 3}])",
+           R"("snapshot_ranks": 4, "rest_load_sum": 3,
+              "top_loads": [{"rank": 1.5, "load": 3}])",
+           R"("snapshot_ranks": 4, "rest_load_sum": 3,
+              "top_loads": [{"rank": 1e30, "load": 3}])",
+           R"("snapshot_ranks": 4, "rest_load_sum": 3,
+              "top_loads": [{"rank": -1, "load": 3}])",
+           R"("snapshot_ranks": 1, "rest_load_sum": 0,
+              "top_loads": [{"rank": 0, "load": 1}, {"rank": 0, "load": 2}])",
+           R"("snapshot_ranks": 1, "rest_load_sum": 0,
+              "top_loads": [{"rank": 0, "load": 1}, {"rank": 1, "load": 2}])",
+           R"("snapshot_ranks": 2, "rest_load_sum": 0,
+              "top_loads": [{"rank": 0, "load": 1e308},
+                            {"rank": 1, "load": 1e308}])",
+       }) {
+    EXPECT_THROW((void)make_trace_scenario(
+                     R"({"timeline": [{"phase": 0, )" + snapshot + "}]}"),
+                 std::runtime_error)
+        << snapshot;
+  }
 }
 
 } // namespace
