@@ -2,9 +2,11 @@
 /// Extension experiment (the paper's footnote 2 future work): balance
 /// quality and gossip traffic as a function of the per-rank knowledge cap
 /// — "load balancing efficacy with more limited information to avoid this
-/// potential scalability pitfall". The cap keeps the lowest-load (most
-/// attractive) entries. The footnote also predicts, via random-graph
-/// connectivity, that modest caps should already work well.
+/// potential scalability pitfall". The cap keeps a uniformly random
+/// subset of the entries (keeping the lowest-load ones herds every sender
+/// onto the same targets; EXPERIMENTS.md E11). The footnote also
+/// predicts, via random-graph connectivity, that modest caps should
+/// already work well.
 ///
 /// Flags: --ranks --loaded --tasks --fanout --rounds --seed --csv
 

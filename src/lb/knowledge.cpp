@@ -1,7 +1,6 @@
 #include "lb/knowledge.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "support/assert.hpp"
 
@@ -9,138 +8,193 @@ namespace tlb::lb {
 
 namespace {
 
-auto lower_bound_rank(std::vector<KnownRank> const& entries, RankId rank) {
-  return std::lower_bound(
-      entries.begin(), entries.end(), rank,
-      [](KnownRank const& e, RankId r) { return e.rank < r; });
+constexpr auto by_rank = [](KnownRank const& a, KnownRank const& b) {
+  return a.rank < b.rank;
+};
+
+/// Exact bytes the wire format spends on `run` (ids strictly increasing).
+std::size_t encoded_size(std::span<KnownRank const> run) {
+  std::size_t id_bytes = 0;
+  RankId prev = -1; // first id is encoded absolute (prev + 1 == 0)
+  for (auto const& e : run) {
+    id_bytes +=
+        rt::varint_size(static_cast<std::uint64_t>(e.rank - prev - 1));
+    prev = e.rank;
+  }
+  return rt::varint_size(run.size()) + id_bytes +
+         run.size() * sizeof(LoadType);
 }
 
 } // namespace
 
+bool Knowledge::append_unknown(RankId rank, LoadType load) {
+  TLB_EXPECTS(rank >= 0);
+  auto const word = static_cast<std::size_t>(rank) / 64;
+  auto const bit = std::uint64_t{1} << (static_cast<unsigned>(rank) % 64);
+  if (word >= members_.size()) {
+    members_.resize(word + 1);
+  } else if ((members_[word] & bit) != 0) {
+    return false;
+  }
+  members_[word] |= bit;
+  if (sorted_ == entries_.size() &&
+      (entries_.empty() || entries_.back().rank < rank)) {
+    ++sorted_;
+  }
+  entries_.push_back(KnownRank{rank, next_version_++, load});
+  return true;
+}
+
 void Knowledge::insert(RankId rank, LoadType load) {
-  auto const it = lower_bound_rank(entries_, rank);
-  if (it != entries_.end() && it->rank == rank) {
-    auto const idx = static_cast<std::size_t>(it - entries_.begin());
-    entries_[idx].load = load;
-    entries_[idx].version = next_version_++;
+  if (append_unknown(rank, load)) {
     return;
   }
-  entries_.insert(it, KnownRank{rank, next_version_++, load});
+  auto& e = entries_[index_of(rank)];
+  e.load = load;
+  e.version = next_version_++;
+  close_run(); // a restamp in place: the tail no longer holds every fresh stamp
 }
 
 void Knowledge::merge(Knowledge const& other) {
-  // Count the genuinely new ranks first, so the merge can run in place:
-  // grow once, then fill back to front (descending rank) without ever
-  // overwriting a local entry that has not been consumed yet.
-  std::size_t fresh = 0;
-  {
-    auto a = entries_.begin();
-    for (auto const& e : other.entries_) {
-      while (a != entries_.end() && a->rank < e.rank) {
-        ++a;
-      }
-      if (a == entries_.end() || a->rank != e.rank) {
-        ++fresh;
-      }
-    }
+  // Rank order on the source stamps the fresh ranks in ascending rank
+  // order, as the merge contract promises.
+  for (auto const& e : other.entries()) {
+    append_unknown(e.rank, e.load);
   }
-  if (fresh == 0) {
-    return; // local load wins on every conflict; nothing to do
+}
+
+void Knowledge::merge_packed(rt::Unpacker& unpacker) {
+  // The count is untrusted: every entry costs at least a 1-byte gap varint
+  // plus its load, so reject a count the payload cannot hold before it
+  // drives any loop.
+  auto const count = unpacker.unpack_varint();
+  TLB_EXPECTS(count <= unpacker.remaining() / (1 + sizeof(LoadType)));
+  auto const n = static_cast<std::size_t>(count);
+  // The ids and the loads are two blocks: a second cursor walks the ids
+  // while `unpacker` skips to the loads, then both advance in lockstep.
+  rt::Unpacker ids = unpacker;
+  for (std::size_t i = 0; i < n; ++i) {
+    (void)unpacker.unpack_varint();
   }
-  auto const old_size = entries_.size();
-  entries_.resize(old_size + fresh);
-  // Stamp new entries so ascending rank gets ascending versions, matching
-  // what repeated insert() calls in rank order would have produced. The
-  // backward fill visits fresh ranks in descending order, so stamps are
-  // handed out from the top down.
-  std::uint32_t stamp = next_version_ + static_cast<std::uint32_t>(fresh) - 1;
-  next_version_ += static_cast<std::uint32_t>(fresh);
-  auto out = entries_.end();
-  auto a = entries_.begin() + static_cast<std::ptrdiff_t>(old_size);
-  auto b = other.entries_.end();
-  while (b != other.entries_.begin()) {
-    auto const& incoming = *(b - 1);
-    // Drain local entries above the incoming rank, consuming the match if
-    // one exists (local load wins).
-    bool matched = false;
-    while (a != entries_.begin()) {
-      auto const& local = *(a - 1);
-      if (local.rank < incoming.rank) {
-        break;
-      }
-      matched = local.rank == incoming.rank;
-      *--out = *--a;
-      if (matched) {
-        break;
-      }
-    }
-    if (!matched) {
-      *--out = KnownRank{incoming.rank, stamp--, incoming.load};
-    }
-    --b;
+  std::uint64_t next = 0; // smallest id the next gap can name
+  for (std::size_t i = 0; i < n; ++i) {
+    auto const gap = ids.unpack_varint();
+    // Reject ids past the rank limit before adding (no wrap-around), so
+    // the membership bitset is never sized by a hostile id.
+    TLB_EXPECTS(gap < static_cast<std::uint64_t>(kMaxRanks) - next);
+    auto const rank = static_cast<RankId>(next + gap);
+    append_unknown(rank, unpacker.unpack<LoadType>());
+    next = static_cast<std::uint64_t>(rank) + 1;
   }
-  TLB_ENSURES(out == a); // remaining prefix is already in place
 }
 
 void Knowledge::add_load(RankId rank, LoadType delta) {
-  auto const it = lower_bound_rank(entries_, rank);
-  TLB_EXPECTS(it != entries_.end() && it->rank == rank);
-  auto const idx = static_cast<std::size_t>(it - entries_.begin());
-  entries_[idx].load += delta;
-  entries_[idx].version = next_version_++;
+  auto& e = entries_[index_of(rank)];
+  e.load += delta;
+  e.version = next_version_++;
+  close_run();
 }
 
 bool Knowledge::contains(RankId rank) const {
-  auto const it = lower_bound_rank(entries_, rank);
-  return it != entries_.end() && it->rank == rank;
+  auto const word = static_cast<std::size_t>(rank) / 64;
+  return rank >= 0 && word < members_.size() &&
+         ((members_[word] >> (static_cast<unsigned>(rank) % 64)) & 1u) != 0;
 }
 
-void Knowledge::truncate_to(std::size_t cap) {
-  if (cap == 0 || entries_.size() <= cap) {
+std::size_t Knowledge::index_of(RankId rank) const {
+  TLB_EXPECTS(contains(rank));
+  sort_by_rank();
+  auto const it = std::lower_bound(
+      entries_.begin(), entries_.end(), rank,
+      [](KnownRank const& e, RankId r) { return e.rank < r; });
+  return static_cast<std::size_t>(it - entries_.begin());
+}
+
+LoadType Knowledge::load_of(RankId rank) const {
+  return entries_[index_of(rank)].load;
+}
+
+void Knowledge::clear() {
+  std::fill(members_.begin(), members_.end(), std::uint64_t{0});
+  entries_.clear();
+  sorted_ = 0;
+  run_begin_ = 0;
+  run_mark_ = 0;
+  next_version_ = 1;
+  truncated_ = false;
+}
+
+void Knowledge::reserve(std::size_t n) {
+  entries_.reserve(n);
+  auto const words = (n + 63) / 64;
+  if (members_.size() < words) {
+    members_.resize(words);
+  }
+}
+
+void Knowledge::sort_from(std::size_t from) const {
+  auto const n = entries_.size();
+  if (sorted_ == n) {
     return;
   }
-  std::vector<KnownRank> by_load = entries_;
-  std::nth_element(by_load.begin(),
-                   by_load.begin() + static_cast<std::ptrdiff_t>(cap),
-                   by_load.end(),
-                   [](KnownRank const& a, KnownRank const& b) {
-                     if (a.load != b.load) {
-                       return a.load < b.load;
-                     }
-                     return a.rank < b.rank;
-                   });
-  by_load.resize(cap);
-  std::sort(by_load.begin(), by_load.end(),
-            [](KnownRank const& a, KnownRank const& b) {
-              return a.rank < b.rank;
-            });
-  entries_ = std::move(by_load);
-  truncated_ = true;
+  std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(from),
+            entries_.end(), by_rank);
+  bool const joined =
+      sorted_ >= from &&
+      (from == 0 || entries_[from - 1].rank < entries_[from].rank);
+  sorted_ = joined ? n : std::min(sorted_, from);
+}
+
+void Knowledge::sort_by_rank() const {
+  if (sorted_ != entries_.size()) {
+    sort_from(0);
+    close_run(); // the old tail is scattered now
+  }
 }
 
 void Knowledge::truncate_random(std::size_t cap, Rng& rng) {
   if (cap == 0 || entries_.size() <= cap) {
     return;
   }
-  // Partial Fisher-Yates: move a random survivor into each of the first
-  // `cap` slots, then restore the sorted-by-rank invariant.
+  // Partial Fisher-Yates over the rank-ordered entries: move a random
+  // survivor into each of the first `cap` slots.
+  sort_by_rank();
   for (std::size_t i = 0; i < cap; ++i) {
     auto const j = i + rng.index(entries_.size() - i);
     using std::swap;
     swap(entries_[i], entries_[j]);
   }
+  for (auto it = entries_.begin() + static_cast<std::ptrdiff_t>(cap);
+       it != entries_.end(); ++it) {
+    members_[static_cast<std::size_t>(it->rank) / 64] &=
+        ~(std::uint64_t{1} << (static_cast<unsigned>(it->rank) % 64));
+  }
   entries_.resize(cap);
-  std::sort(entries_.begin(), entries_.end(),
-            [](KnownRank const& a, KnownRank const& b) {
-              return a.rank < b.rank;
-            });
+  sorted_ = 0;
+  close_run();
   truncated_ = true;
 }
 
-LoadType Knowledge::load_of(RankId rank) const {
-  auto const it = lower_bound_rank(entries_, rank);
-  TLB_EXPECTS(it != entries_.end() && it->rank == rank);
-  return it->load;
+std::span<KnownRank const> Knowledge::delta_run(std::uint32_t since) const {
+  since = std::min(since, version_mark());
+  if (since != run_mark_) {
+    // Not the mark the tail was cut at: gather the entries stamped after
+    // `since` into the tail. Entries before the first of them stay put.
+    auto const stale = [since](KnownRank const& e) {
+      return e.version <= since;
+    };
+    auto const first =
+        std::find_if_not(entries_.begin(), entries_.end(), stale);
+    auto const mid = std::partition(first, entries_.end(), stale);
+    if (mid != first) {
+      sorted_ = std::min(sorted_,
+                         static_cast<std::size_t>(first - entries_.begin()));
+    }
+    run_begin_ = static_cast<std::size_t>(mid - entries_.begin());
+    run_mark_ = since;
+  }
+  sort_from(run_begin_);
+  return std::span<KnownRank const>{entries_}.subspan(run_begin_);
 }
 
 std::size_t Knowledge::delta_count(std::uint32_t since) const {
@@ -150,87 +204,42 @@ std::size_t Knowledge::delta_count(std::uint32_t since) const {
 }
 
 Knowledge Knowledge::delta_copy(std::uint32_t since) const {
+  auto const run = delta_run(since);
   Knowledge out;
-  out.entries_.reserve(delta_count(since));
-  for (auto const& e : entries_) {
-    if (e.version > since) {
-      out.entries_.push_back(KnownRank{e.rank, out.next_version_++, e.load});
-    }
+  out.entries_.reserve(run.size());
+  for (auto const& e : run) {
+    out.append_unknown(e.rank, e.load);
   }
+  close_run();
   return out;
 }
 
 std::size_t Knowledge::encoded_bytes(std::uint32_t since) const {
-  std::size_t count = 0;
-  std::size_t id_bytes = 0;
-  RankId prev = -1; // first selected id is encoded absolute (prev + 1 == 0)
-  for (auto const& e : entries_) {
-    if (e.version <= since) {
-      continue;
-    }
-    id_bytes +=
-        rt::varint_size(static_cast<std::uint64_t>(e.rank - prev - 1));
-    prev = e.rank;
-    ++count;
-  }
-  return rt::varint_size(count) + id_bytes + count * sizeof(LoadType);
+  return encoded_size(delta_run(since));
 }
 
 void Knowledge::pack_since(rt::Packer& packer, std::uint32_t since) const {
+  auto const run = delta_run(since);
   auto const start = packer.size();
-  packer.pack_varint(delta_count(since));
+  packer.pack_varint(run.size());
   RankId prev = -1;
-  for (auto const& e : entries_) {
-    if (e.version <= since) {
-      continue;
-    }
+  for (auto const& e : run) {
     packer.pack_varint(static_cast<std::uint64_t>(e.rank - prev - 1));
     prev = e.rank;
   }
-  for (auto const& e : entries_) {
-    if (e.version <= since) {
-      continue;
-    }
+  for (auto const& e : run) {
     packer.pack(e.load);
   }
-  // The byte accountant and the serializer share encoded_bytes(); if the
+  // The byte accountant and the serializer share encoded_size(); if the
   // two ever disagree the modeled traffic is a lie, so fail loudly.
-  TLB_ENSURES(packer.size() - start == encoded_bytes(since));
+  TLB_ENSURES(packer.size() - start == encoded_size(run));
+  close_run();
 }
 
 Knowledge Knowledge::unpack(rt::Unpacker& unpacker) {
   Knowledge k;
-  k.unpack_into(unpacker);
+  k.merge_packed(unpacker);
   return k;
-}
-
-void Knowledge::unpack_into(rt::Unpacker& unpacker) {
-  // The count is untrusted: every entry costs at least a 1-byte gap varint
-  // plus its load, so reject a count the payload cannot hold before it
-  // sizes the entry vector.
-  auto const count = unpacker.unpack_varint();
-  TLB_EXPECTS(count <= unpacker.remaining() / (1 + sizeof(LoadType)));
-  auto const n = static_cast<std::size_t>(count);
-  entries_.clear();
-  entries_.resize(n);
-  std::int64_t prev = -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto const gap = unpacker.unpack_varint();
-    // Delta decoding reconstructs a strictly increasing sequence by
-    // construction, so the sorted invariant holds without re-validation;
-    // only overflow of the id space needs rejecting.
-    auto const rank = static_cast<std::uint64_t>(prev + 1) + gap;
-    TLB_EXPECTS(rank <= static_cast<std::uint64_t>(
-                            std::numeric_limits<RankId>::max()));
-    entries_[i].rank = static_cast<RankId>(rank);
-    entries_[i].version = static_cast<std::uint32_t>(i) + 1;
-    prev = entries_[i].rank;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    entries_[i].load = unpacker.unpack<LoadType>();
-  }
-  next_version_ = static_cast<std::uint32_t>(n) + 1;
-  truncated_ = false;
 }
 
 } // namespace tlb::lb

@@ -3,16 +3,25 @@
 /// \file knowledge.hpp
 /// The partial-information state a rank accumulates during the gossip
 /// stage: the set S^p of known (initially underloaded) ranks and the
-/// LOAD^p() map of their last-known loads (Algorithm 1). Kept sorted by
-/// rank id so merges are deterministic and lookups are O(log n).
+/// LOAD^p() map of their last-known loads (Algorithm 1).
+///
+/// Entries are stored in arrival order next to a membership bitset, so a
+/// merge costs O(|payload|): it tests each incoming rank's bit and appends
+/// only the unknown ones. Rank order is restored in place where a reader
+/// first needs it (entries(), load_of, add_load, truncation, packing), and
+/// every observable result — entries(), the packed bytes, the version
+/// stamps — is what a container kept sorted by rank would give.
 ///
 /// Entries carry an owner-local, monotone *version stamp*: every insert,
 /// overwrite, load update, or merge-in of a previously unknown rank
 /// stamps the affected entry with the next value of the owner's version
-/// counter. Versions never travel on the wire (each owner stamps its own
-/// copy); they exist so a forwarding event can ship only the entries that
-/// are new or changed since its last forwarding event — the delta-encoded
-/// gossip wire plane (see DESIGN.md "Gossip wire plane").
+/// counter (the fresh ranks of one merge in ascending rank order).
+/// Versions never travel on the wire (each owner stamps its own copy);
+/// they exist so a forwarding event can ship only the entries that are
+/// new or changed since its last forwarding event — the delta-encoded
+/// gossip wire plane (see DESIGN.md "Gossip wire plane"). While a rank
+/// only merges, those entries are exactly the run appended since the last
+/// pack, which is sorted by rank (a few entries) and encoded.
 ///
 /// Wire format (pack_full/pack_delta, shared layout):
 ///
@@ -26,6 +35,10 @@
 /// wire_bytes()/wire_bytes_delta() are computed by the same per-entry
 /// size arithmetic pack() emits, asserted equal at pack time, so the
 /// modeled traffic can never drift from the serialized truth.
+///
+/// Reordering is a cache: const members may permute the entry storage, so
+/// one Knowledge must not be read from two threads at once (the inform
+/// plane confines each rank's knowledge to that rank's handlers).
 
 #include <cstdint>
 #include <span>
@@ -59,8 +72,8 @@ struct KnownRank {
 static_assert(sizeof(KnownRank) == 16,
               "version must live in what used to be struct padding");
 
-/// Sorted-by-rank collection of known peers. Invariant: ranks strictly
-/// increasing (|S^p| == |LOAD^p()| by construction, the paper's Require).
+/// Collection of known peers with at most one entry per rank
+/// (|S^p| == |LOAD^p()| by construction, the paper's Require).
 class Knowledge {
 public:
   Knowledge() = default;
@@ -72,9 +85,14 @@ public:
   /// load only when we did not already know the rank: a rank's own local
   /// updates (speculative transfers it directed at the peer) are fresher
   /// than gossiped initial loads. Newly learned entries are stamped in
-  /// ascending rank order. Allocation-free once capacity suffices (the
-  /// merge is performed in place, back to front).
+  /// ascending rank order. Allocation-free once capacity suffices.
   void merge(Knowledge const& other);
+
+  /// Decode a pack_full/pack_delta payload and merge it under merge()'s
+  /// rule, without materializing the payload: O(payload) and
+  /// allocation-free once capacity suffices. The entry count and every
+  /// rank id are untrusted and checked before use.
+  void merge_packed(rt::Unpacker& unpacker);
 
   /// Add `delta` to a known rank's load. Precondition: rank is known.
   /// Stamps the entry (its value changed).
@@ -86,31 +104,24 @@ public:
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
+  /// Every entry, sorted by rank (ids strictly increasing).
   [[nodiscard]] std::span<KnownRank const> entries() const {
+    sort_by_rank();
     return entries_;
   }
 
   /// Forget everything: entries, version counter, truncation flag.
   /// Capacity is retained, so a cleared-and-refilled knowledge allocates
   /// only while growing past its historical maximum.
-  void clear() {
-    entries_.clear();
-    next_version_ = 1;
-    truncated_ = false;
-  }
+  void clear();
 
-  /// Bound the knowledge to the `cap` entries with the lowest loads (the
-  /// most attractive transfer targets), breaking load ties by rank id.
-  /// cap == 0 means unlimited (no-op). Deterministic, but note that under
-  /// gossip every rank then retains the *same* globally-lightest targets,
-  /// which herds transfers — prefer truncate_random in protocols.
-  void truncate_to(std::size_t cap);
-
-  /// Bound the knowledge to a uniformly random `cap`-subset. This is the
-  /// footnote-2 bounded-knowledge variant actually used by the gossip
-  /// stage: random subsets keep per-rank target sets de-correlated (the
-  /// footnote's random-graph connectivity argument), avoiding the
-  /// thundering-herd failure of keeping the lightest entries everywhere.
+  /// Bound the knowledge to a uniformly random `cap`-subset (cap == 0
+  /// means unlimited). This is the footnote-2 bounded-knowledge variant
+  /// the gossip stage uses: random subsets keep per-rank target sets
+  /// de-correlated (the footnote's random-graph connectivity argument),
+  /// where keeping the lightest entries would give every rank the same
+  /// targets and herd transfers onto them (EXPERIMENTS.md E11). The draw
+  /// runs over the entries in rank order.
   void truncate_random(std::size_t cap, Rng& rng);
 
   // --- Versioning (the delta wire plane's bookkeeping) ---
@@ -122,11 +133,11 @@ public:
     return next_version_ - 1;
   }
 
-  /// True when entries were dropped (by either truncate flavor) since the
-  /// flag was last consumed; reading clears it. Forwarding events use
-  /// this to fall back to a full snapshot after truncation, the recovery
-  /// rule that keeps bounded-knowledge (footnote 2) runs re-offering
-  /// dropped entries instead of silently never mentioning them again.
+  /// True when entries were dropped by truncation since the flag was last
+  /// consumed; reading clears it. Forwarding events use this to fall back
+  /// to a full snapshot after truncation, the recovery rule that keeps
+  /// bounded-knowledge (footnote 2) runs re-offering dropped entries
+  /// instead of silently never mentioning them again.
   [[nodiscard]] bool take_truncated() {
     bool const t = truncated_;
     truncated_ = false;
@@ -137,21 +148,22 @@ public:
   [[nodiscard]] std::size_t delta_count(std::uint32_t since) const;
 
   /// A knowledge holding copies of the entries stamped after `since`
-  /// (freshly stamped 1..k). The sequential gossip emulation uses this to
-  /// model delta payloads; the runtime protocol packs straight to bytes.
+  /// (freshly stamped 1..k in rank order). The sequential gossip
+  /// emulation uses this to model delta payloads; the runtime protocol
+  /// packs straight to bytes.
   [[nodiscard]] Knowledge delta_copy(std::uint32_t since) const;
 
-  /// Pre-grow the entry vector to hold `n` entries without reallocating.
-  /// The inform plane reserves to P so steady-state merges and unpacks
-  /// never touch the allocator.
-  void reserve(std::size_t n) { entries_.reserve(n); }
+  /// Pre-size for ranks [0, n): the entry vector holds `n` entries and
+  /// the bitset covers n ranks without reallocating. The inform plane
+  /// reserves to P so steady-state merges never touch the allocator.
+  void reserve(std::size_t n);
 
   // --- Wire format ---
 
   /// An upper bound on the bytes any packed payload of up to `n` entries
   /// can occupy: a 5-byte count varint plus, per entry, a 5-byte id gap
   /// and a raw f64 load. Deliberately loose (real gap varints are almost
-  /// always one byte) — its job is to let buffer pools reserve once and
+  /// always one byte) — its job is to let buffers be reserved once and
   /// never grow, not to model traffic; wire_bytes() stays the accountant.
   [[nodiscard]] static constexpr std::size_t wire_capacity_bound(
       std::size_t n) {
@@ -185,15 +197,47 @@ public:
   [[nodiscard]] static Knowledge unpack(rt::Unpacker& unpacker);
 
   /// Deserialize into *this*, replacing its contents but reusing its
-  /// capacity — the allocation-free receive path for a per-rank inbox
-  /// scratch.
-  void unpack_into(rt::Unpacker& unpacker);
+  /// capacity: clear() followed by merge_packed().
+  void unpack_into(rt::Unpacker& unpacker) {
+    clear();
+    merge_packed(unpacker);
+  }
 
 private:
+  /// Append an entry for `rank` with the next stamp unless the rank is
+  /// already known; true when it appended.
+  bool append_unknown(RankId rank, LoadType load);
+  /// Restore rank order over the whole storage.
+  void sort_by_rank() const;
+  /// Sort entries_[from, end) by rank and update sorted_.
+  void sort_from(std::size_t from) const;
+  /// The entries stamped after `since`, in rank order, as the contiguous
+  /// tail entries_[run_begin_, end) (rearranging storage if needed).
+  [[nodiscard]] std::span<KnownRank const> delta_run(
+      std::uint32_t since) const;
+  /// Mark everything currently held as shipped: the next delta_run is the
+  /// run appended from here on.
+  void close_run() const {
+    run_begin_ = entries_.size();
+    run_mark_ = version_mark();
+  }
+  /// Index of a known rank's entry (rank order restored first).
+  [[nodiscard]] std::size_t index_of(RankId rank) const;
   void pack_since(rt::Packer& packer, std::uint32_t since) const;
   [[nodiscard]] std::size_t encoded_bytes(std::uint32_t since) const;
 
-  std::vector<KnownRank> entries_;
+  /// Arrival order, except where a reader restored rank order. Mutable
+  /// because that order is a cache: every accessor reads rank order.
+  mutable std::vector<KnownRank> entries_;
+  /// entries_[0, sorted_) is strictly increasing by rank.
+  mutable std::size_t sorted_ = 0;
+  /// The entries stamped after run_mark_ are exactly
+  /// entries_[run_begin_, end): appends keep this true, and packing a
+  /// delta at run_mark_ ships that tail without scanning the rest.
+  mutable std::size_t run_begin_ = 0;
+  mutable std::uint32_t run_mark_ = 0;
+  /// Bit r set iff rank r is known; grows to cover the largest rank seen.
+  std::vector<std::uint64_t> members_;
   /// Next stamp to hand out; 0 is reserved as "before everything".
   std::uint32_t next_version_ = 1;
   /// Set when truncation actually dropped entries; consumed by

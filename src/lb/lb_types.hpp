@@ -81,10 +81,12 @@ struct LbParams {
   int num_iterations = 8;
   /// Independent trials, each restarted from the pre-LB assignment.
   int num_trials = 10;
-  /// Cap on the number of underloaded ranks a rank keeps/gossips
-  /// (lowest-load entries win). 0 means unlimited — the paper's published
-  /// configuration; a positive cap implements the footnote-2 future-work
-  /// direction of bounding the O(P) knowledge lists.
+  /// Cap on the number of underloaded ranks a rank keeps/gossips: past
+  /// it, a uniformly random subset survives (Knowledge::truncate_random;
+  /// keeping the lightest entries herds every sender onto the same
+  /// targets, EXPERIMENTS.md E11). 0 means unlimited — the paper's
+  /// published configuration; a positive cap implements the footnote-2
+  /// future-work direction of bounding the O(P) knowledge lists.
   int max_knowledge = 0;
   /// Wire encoding of gossip forwards. Delta is the default: with the
   /// paper's saturating fanout/rounds it converges to the same knowledge

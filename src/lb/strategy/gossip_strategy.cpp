@@ -39,7 +39,9 @@ struct Shared {
   std::vector<RankState> states;
   /// The inform stage: per-rank knowledge, forwarding cascade, and the
   /// delta-encoded wire plane (see inform_plane.hpp).
-  std::shared_ptr<InformPlane> inform;
+  /// Its messages point back at it: balance() holds this block across
+  /// every epoch's run_until_quiescent.
+  std::unique_ptr<InformPlane> inform;
   bool use_nacks = false;
   LoadType l_ave = 0.0;
   /// Transfer-pass threshold h (params.threshold), hoisted here so the
@@ -247,7 +249,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   }
 
   auto shared = std::make_shared<Shared>();
-  shared->inform = std::make_shared<InformPlane>(
+  shared->inform = std::make_unique<InformPlane>(
       p, params.seed, params.gossip_wire, params.fanout, params.rounds,
       static_cast<std::size_t>(std::max(0, params.max_knowledge)),
       introspection_);

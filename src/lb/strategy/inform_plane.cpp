@@ -1,11 +1,45 @@
 #include "lb/strategy/inform_plane.hpp"
 
 #include <algorithm>
+#include <span>
+#include <type_traits>
 
 #include "obs/lb_report.hpp"
 #include "support/assert.hpp"
 
 namespace tlb::lb {
+
+namespace {
+
+/// Worst-case bytes the plane prepends to a packed knowledge payload: a
+/// round-number varint (10 bytes covers any u64) plus the full/delta flag
+/// byte.
+constexpr std::size_t kHeaderBound = 11;
+
+/// Bytes one rank's forwarding events can take in one epoch, so its arena
+/// is reserved once and never grows. A rank forwards at most once per
+/// round (the `forwarded` bitmask), and a forward happens after the
+/// receive's truncation, so a payload holds at most min(cap, P) entries
+/// when capped and P otherwise. Uncapped delta payloads do better: an
+/// inform epoch only appends, so each entry is stamped once and shipped
+/// by exactly one forward, and the payloads partition at most P entries.
+/// That bounds the epoch at rounds·(kHeaderBound + 5) + 13P bytes rather
+/// than rounds·(13P + 16).
+std::size_t arena_bound(RankId num_ranks, int rounds, GossipWire wire,
+                        std::size_t max_knowledge) {
+  auto const p = static_cast<std::size_t>(num_ranks);
+  auto const k = static_cast<std::size_t>(rounds);
+  auto const forward_bound = [](std::size_t entries) {
+    return kHeaderBound + Knowledge::wire_capacity_bound(entries);
+  };
+  if (wire == GossipWire::delta && max_knowledge == 0) {
+    return (k - 1) * forward_bound(0) + forward_bound(p);
+  }
+  return k * forward_bound(max_knowledge == 0 ? p
+                                              : std::min(max_knowledge, p));
+}
+
+} // namespace
 
 InformPlane::InformPlane(RankId num_ranks, std::uint64_t root_seed,
                          GossipWire wire, int fanout, int rounds,
@@ -17,26 +51,23 @@ InformPlane::InformPlane(RankId num_ranks, std::uint64_t root_seed,
       rounds_{rounds},
       max_knowledge_{max_knowledge},
       report_{report} {
+  TLB_EXPECTS(rounds >= 1);
   Rng const gossip_root = Rng{root_seed}.split(kGossipStreamTag);
   // Steady-state inform rounds must not allocate, so every capacity is
-  // grown to its bound up front: knowledge and inbox to P entries (the
-  // most any rank can ever learn), the snapshot pool to one slot per
-  // forwarding event (a rank forwards at most once per round — the
-  // `forwarded` bitmask — and a slot is recycled once its f messages
-  // drain) with each buffer at the wire-format ceiling plus the round/flag
-  // header. ~P*(rounds*13 + 32) bytes per rank, transient per balance().
-  auto const pool_depth = static_cast<std::size_t>(std::max(rounds, 1));
-  auto const pool_capacity =
-      Knowledge::wire_capacity_bound(static_cast<std::size_t>(num_ranks)) +
-      kHeaderBound;
+  // grown to its bound up front: knowledge to P entries (the most any
+  // rank can ever learn), the arena to arena_bound, and one extent per
+  // round. Transient per balance().
+  auto const arena_capacity =
+      arena_bound(num_ranks, rounds, wire, max_knowledge);
   for (RankId r = 0; r < num_ranks; ++r) {
     auto& slot = slots_[static_cast<std::size_t>(r)];
     slot.rng = gossip_root.split(static_cast<std::uint64_t>(r));
     slot.knowledge.reserve(static_cast<std::size_t>(num_ranks));
-    slot.inbox.reserve(static_cast<std::size_t>(num_ranks));
+    slot.arena.reserve(arena_capacity);
+    slot.arena_base = slot.arena.data();
+    slot.sent.resize(static_cast<std::size_t>(rounds) + 1);
     slot.peers.reserve(static_cast<std::size_t>(
         std::min<RankId>(static_cast<RankId>(fanout), num_ranks)));
-    slot.pool.prime(pool_depth, pool_capacity);
   }
 }
 
@@ -45,6 +76,7 @@ void InformPlane::reset_epoch() {
   for (RankId r = 0; r < p; ++r) {
     Slot& slot = slots_[static_cast<std::size_t>(r)];
     slot.knowledge.clear();
+    slot.arena.clear(); // nothing is in flight: no reader is left
     slot.forwarded = 0;
     slot.hwm = 0;
     slot.need_full = true;
@@ -77,15 +109,14 @@ void InformPlane::seed_and_forward(rt::RankContext& ctx, LoadType load) {
 
 void InformPlane::forward(rt::RankContext& ctx, int next_round) {
   auto& slot = slots_[static_cast<std::size_t>(ctx.rank())];
-  // Serialize once per forwarding event; the f messages share one pooled
-  // byte buffer (they carry identical wire data), which also bounds peak
-  // memory when the lists approach O(P). Receivers deserialize, proving
-  // the protocol serialization-clean.
+  // Serialize once per forwarding event; the f messages name the same
+  // arena bytes (they carry identical wire data). Receivers deserialize,
+  // proving the protocol serialization-clean.
   bool const truncated = slot.knowledge.take_truncated();
   bool const full =
       wire_ == GossipWire::full || slot.need_full || truncated;
-  auto snap = slot.pool.acquire();
-  rt::Packer packer{snap->bytes};
+  auto const offset = slot.arena.size();
+  rt::Packer packer{slot.arena};
   packer.pack_varint(static_cast<std::uint64_t>(next_round));
   packer.pack(static_cast<std::uint8_t>(full ? 1 : 0));
   if (full) {
@@ -98,31 +129,34 @@ void InformPlane::forward(rt::RankContext& ctx, int next_round) {
   }
   slot.hwm = slot.knowledge.version_mark();
   slot.need_full = false;
-  std::size_t const bytes = packer.size();
-  auto self = shared_from_this();
+  Extent const sent{offset, slot.arena.size() - offset};
+  slot.sent[static_cast<std::size_t>(next_round)] = sent;
+  auto const deliver = [plane = this, src = ctx.rank(),
+                        next_round](rt::RankContext& c) {
+    plane->receive(c, src, next_round);
+  };
+  static_assert(sizeof(deliver) == 16 &&
+                std::is_trivially_copyable_v<decltype(deliver)>);
   for (RankId const dest : slot.peers) {
-    ctx.send(
-        dest, bytes,
-        [self, snap, bytes](rt::RankContext& c) {
-          self->receive(c, snap, bytes);
-        },
-        rt::MessageKind::gossip);
+    ctx.send(dest, sent.length, deliver, rt::MessageKind::gossip);
   }
 }
 
-void InformPlane::receive(rt::RankContext& ctx,
-                          std::shared_ptr<rt::SnapshotPool::Slot> const& snap,
-                          std::size_t bytes) {
+void InformPlane::receive(rt::RankContext& ctx, RankId src, int round) {
   auto& slot = slots_[static_cast<std::size_t>(ctx.rank())];
-  rt::Unpacker unpacker{snap->bytes};
-  auto const round = static_cast<int>(unpacker.unpack_varint());
+  Slot const& from = slots_[static_cast<std::size_t>(src)];
+  Extent const sent = from.sent[static_cast<std::size_t>(round)];
+  rt::Unpacker unpacker{
+      std::span<std::byte const>{from.arena_base + sent.offset, sent.length}};
+  auto const header_round = unpacker.unpack_varint();
+  TLB_ASSERT(header_round == static_cast<std::uint64_t>(round));
   bool const full = unpacker.unpack<std::uint8_t>() != 0;
-  slot.inbox.unpack_into(unpacker);
+  slot.knowledge.merge_packed(unpacker);
   TLB_ASSERT(unpacker.exhausted());
-  slot.knowledge.merge(slot.inbox);
   slot.knowledge.truncate_random(max_knowledge_, slot.rng);
   if (report_ != nullptr) {
-    report_->on_gossip_message(round, bytes, slot.knowledge.size(), full);
+    report_->on_gossip_message(round, sent.length, slot.knowledge.size(),
+                               full);
   }
   if (round < rounds_) {
     std::uint64_t const bit = 1ull << round;

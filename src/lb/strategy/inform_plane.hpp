@@ -27,19 +27,26 @@
 ///    the documented exception). The overlay also keeps routing
 ///    knowledge-independent and the transfer/CMF stream untouched.
 ///
-/// 3. *Zero steady-state allocation.* Payloads are serialized into
-///    pooled, refcount-recycled buffers (rt::SnapshotPool) by a
-///    scratch-mode Packer; receives deserialize into a per-rank inbox
-///    scratch and merge in place. After warm-up, inform epochs perform no
-///    heap allocations (pinned by the allocation-counter test).
+/// 3. *Zero steady-state allocation, no refcounts.* Each rank packs its
+///    forwarding events, header and payload, back to back into its own
+///    epoch arena, reserved once to a bound no epoch can exceed (see
+///    arena_bound in inform_plane.cpp); an arena-mode rt::Packer aborts
+///    rather than reallocate. A message carries only {plane, sender,
+///    round} and the receiver decodes the sender's bytes for that round
+///    straight into its knowledge (Knowledge::merge_packed). The bytes
+///    need no owner count: every epoch ends with run_until_quiescent,
+///    which returns only once nothing is in flight, and reset_epoch
+///    rewinds the arenas only then. After warm-up, inform epochs perform
+///    no heap allocations (pinned by the allocation-counter test).
 ///
-/// Thread-confinement (PR 7 discipline): each Slot is mutated only by
-/// handlers executing on its own rank, so no slot field needs locking or
-/// capability annotations; the SnapshotPool's in-flight refcounts are the
-/// only cross-rank traffic and shared_ptr refcounting is atomic.
+/// Thread-confinement: each Slot is mutated only by handlers executing on
+/// its own rank. Other ranks read just a slot's `sent` extent and arena
+/// bytes for one round, and only on receiving the owner's message for that
+/// round, which the owner sends after writing both; the owner never
+/// rewrites them within the epoch.
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "lb/knowledge.hpp"
@@ -58,19 +65,20 @@ namespace tlb::lb {
 /// tag space 0..P-1, like rt::kFaultStreamTag).
 inline constexpr std::uint64_t kGossipStreamTag = 0x6055'0000'0000'0001ull;
 
-/// One inform plane serves every epoch of one balance() invocation.
-/// shared_from_this lets forwarding closures keep the plane alive for the
-/// lifetime of in-flight messages while staying within the runtime's
-/// inline-handler budget (self + snapshot + bytes = 40 of 64 bytes).
-class InformPlane : public std::enable_shared_from_this<InformPlane> {
+/// One inform plane serves every epoch of one balance() invocation. Its
+/// messages point back at it, so the caller keeps it alive, and in
+/// place, until the last run_until_quiescent of the invocation returns.
+class InformPlane {
 public:
   InformPlane(RankId num_ranks, std::uint64_t root_seed, GossipWire wire,
               int fanout, int rounds, std::size_t max_knowledge,
               obs::LbReportBuilder* report);
+  InformPlane(InformPlane const&) = delete;
+  InformPlane& operator=(InformPlane const&) = delete;
 
   /// Driver-side, at a quiescent point: wipe per-rank knowledge and
   /// forwarding state for the next inform epoch. Capacities (entry
-  /// vectors, snapshot buffers) survive, so epochs after the first do not
+  /// vectors, arenas) survive, so epochs after the first do not
   /// allocate. RNG streams deliberately run on across epochs, matching
   /// how the per-rank runtime streams behave.
   void reset_epoch();
@@ -86,18 +94,23 @@ public:
   }
 
 private:
-  /// Worst-case bytes the plane prepends to a packed knowledge payload:
-  /// a round-number varint (10 bytes covers any u64) plus the full/delta
-  /// flag byte. Used to size pooled buffers so packing never reallocates.
-  static constexpr std::size_t kHeaderBound = 11;
+  /// Where one forwarding event's bytes sit in its sender's arena.
+  struct Extent {
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
 
   /// Per-rank protocol state; mutated only by handlers on its own rank.
   struct Slot {
     Knowledge knowledge;
-    /// Deserialization scratch: receives unpack here, then merge.
-    Knowledge inbox;
-    /// Serialized-payload pool for this rank's forwarding events.
-    rt::SnapshotPool pool;
+    /// This epoch's forwarding events, header and payload each, back to
+    /// back; reserved once, never reallocated.
+    std::vector<std::byte> arena;
+    /// `arena`'s storage, fixed at construction: receivers on other
+    /// ranks read through it without touching the vector.
+    std::byte const* arena_base = nullptr;
+    /// sent[r]: the round-r forward's bytes (valid once forwarded).
+    std::vector<Extent> sent;
     /// Dedicated gossip RNG (see file comment, property 2).
     Rng rng;
     /// The epoch's fixed peer set (the random f-out overlay); every
@@ -110,14 +123,12 @@ private:
     bool need_full = true;
   };
 
-  /// One forwarding event: serialize once (full or delta), fan out f
-  /// messages sharing the pooled buffer.
+  /// One forwarding event: serialize once (full or delta) into the
+  /// arena, then fan out f messages naming it.
   void forward(rt::RankContext& ctx, int next_round);
 
-  /// Delivery of one gossip message on the destination rank.
-  void receive(rt::RankContext& ctx,
-               std::shared_ptr<rt::SnapshotPool::Slot> const& snap,
-               std::size_t bytes);
+  /// Delivery of `src`'s round-`round` forward on the destination rank.
+  void receive(rt::RankContext& ctx, RankId src, int round);
 
   std::vector<Slot> slots_;
   GossipWire wire_;

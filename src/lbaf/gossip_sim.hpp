@@ -59,9 +59,10 @@ struct GossipStats {
 /// \param rounds      k, maximum round index.
 /// \param rng         Peer-selection stream (deterministic).
 /// \param[out] stats  Optional traffic statistics.
-/// \param max_knowledge  Cap on per-rank knowledge entries (lowest-load
-///                    entries kept); 0 = unlimited. Bounds message sizes
-///                    at O(cap) instead of O(P) (paper footnote 2).
+/// \param max_knowledge  Cap on per-rank knowledge entries (a uniformly
+///                    random subset survives, drawn from `rng`); 0 =
+///                    unlimited. Bounds message sizes at O(cap) instead
+///                    of O(P) (paper footnote 2).
 /// \param wire        Payload encoding per forwarding event: full resend
 ///                    or versioned deltas with full-snapshot recovery
 ///                    (see lb::GossipWire and DESIGN.md "Gossip wire

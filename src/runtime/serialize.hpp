@@ -16,10 +16,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -44,20 +44,18 @@ public:
   /// Owning mode: pack into an internal buffer (allocates as it grows).
   Packer() : buffer_{&owned_} {}
 
-  /// Scratch mode: pack into `scratch`, which is cleared first but keeps
-  /// its capacity — the zero-allocation path for steady-state protocol
-  /// rounds that recycle their buffers (see SnapshotPool).
-  explicit Packer(std::vector<std::byte>& scratch) : buffer_{&scratch} {
-    scratch.clear();
-  }
+  /// Arena mode: append to `arena` after the bytes it already holds,
+  /// within the capacity reserved up front. A write that would not fit
+  /// aborts instead of reallocating, so the addresses of bytes packed
+  /// earlier stay valid for readers on other ranks (the inform plane's
+  /// per-rank epoch arena).
+  explicit Packer(std::vector<std::byte>& arena) : buffer_{&arena} {}
 
   /// Serialize a trivially copyable value.
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void pack(T const& value) {
-    auto const offset = buffer_->size();
-    buffer_->resize(offset + sizeof(T));
-    std::memcpy(buffer_->data() + offset, &value, sizeof(T));
+    std::memcpy(grow(sizeof(T)), &value, sizeof(T));
   }
 
   /// Serialize a vector of trivially copyable elements (u64 length
@@ -66,20 +64,17 @@ public:
     requires std::is_trivially_copyable_v<T>
   void pack(std::vector<T> const& values) {
     pack(static_cast<std::uint64_t>(values.size()));
-    auto const offset = buffer_->size();
-    buffer_->resize(offset + values.size() * sizeof(T));
+    auto* const out = grow(values.size() * sizeof(T));
     if (!values.empty()) {
-      std::memcpy(buffer_->data() + offset, values.data(),
-                  values.size() * sizeof(T));
+      std::memcpy(out, values.data(), values.size() * sizeof(T));
     }
   }
 
   void pack(std::string const& value) {
     pack(static_cast<std::uint64_t>(value.size()));
-    auto const offset = buffer_->size();
-    buffer_->resize(offset + value.size());
+    auto* const out = grow(value.size());
     if (!value.empty()) {
-      std::memcpy(buffer_->data() + offset, value.data(), value.size());
+      std::memcpy(out, value.data(), value.size());
     }
   }
 
@@ -96,14 +91,22 @@ public:
   [[nodiscard]] std::span<std::byte const> bytes() const { return *buffer_; }
 
   /// Surrender the buffer (e.g. to move into a message closure). Only
-  /// meaningful in owning mode: a scratch-backed packer's bytes belong to
-  /// the pool that lent them.
+  /// meaningful in owning mode: an arena packer's bytes belong to the
+  /// arena's owner.
   [[nodiscard]] std::vector<std::byte> take() && {
     TLB_EXPECTS(buffer_ == &owned_);
     return std::move(owned_);
   }
 
 private:
+  /// Extend the buffer by `n` bytes and return where they start.
+  std::byte* grow(std::size_t n) {
+    auto const offset = buffer_->size();
+    TLB_EXPECTS(buffer_ == &owned_ || n <= buffer_->capacity() - offset);
+    buffer_->resize(offset + n);
+    return buffer_->data() + offset;
+  }
+
   std::vector<std::byte> owned_;
   std::vector<std::byte>* buffer_;
 };
@@ -174,64 +177,6 @@ public:
 private:
   std::span<std::byte const> bytes_;
   std::size_t offset_ = 0;
-};
-
-/// A recycling pool of shared, refcounted byte buffers for messages whose
-/// payload is serialized once and fanned out to several destinations (the
-/// gossip forward pattern). acquire() hands back a slot whose buffer a
-/// scratch-mode Packer can fill; the handler closures copy the
-/// shared_ptr, and once the last message destructs the slot's use_count
-/// drops back to the pool's own reference, making it reusable — control
-/// block, vector header, and byte capacity all survive, so steady-state
-/// rounds perform zero heap allocations.
-///
-/// Thread-confined: each protocol rank owns its pool and only that rank's
-/// handlers call acquire() (the shared_ptr copies held by in-flight
-/// messages are destroyed under the destination rank's drain, but
-/// shared_ptr refcounting is atomic, so only acquire() needs confinement).
-class SnapshotPool {
-public:
-  struct Slot {
-    std::vector<std::byte> bytes;
-  };
-
-  /// Pre-create `depth` slots, each with `capacity` bytes reserved. A
-  /// depth at or above the peak number of concurrently in-flight payloads
-  /// and a capacity at or above the largest payload make every subsequent
-  /// acquire() allocation-free (the zero-allocation contract the inform
-  /// plane pins with its counter test).
-  void prime(std::size_t depth, std::size_t capacity) {
-    while (slots_.size() < depth) {
-      slots_.push_back(std::make_shared<Slot>());
-    }
-    for (auto& slot : slots_) {
-      slot->bytes.reserve(capacity);
-    }
-  }
-
-  /// Fetch a slot with no other owners, cleared but with its capacity
-  /// intact. Allocates only when every pooled slot is still referenced by
-  /// an in-flight message.
-  [[nodiscard]] std::shared_ptr<Slot> acquire() {
-    for (auto& slot : slots_) {
-      if (slot.use_count() == 1) {
-        // use_count() is a relaxed load. Taking the copy first is an
-        // acquire-release increment, which orders the last holder's reads
-        // on another rank's thread before this clear().
-        std::shared_ptr<Slot> reused = slot;
-        reused->bytes.clear();
-        return reused;
-      }
-    }
-    slots_.push_back(std::make_shared<Slot>());
-    return slots_.back();
-  }
-
-  /// Pool depth (for tests: steady state should stop growing).
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-
-private:
-  std::vector<std::shared_ptr<Slot>> slots_;
 };
 
 } // namespace tlb::rt

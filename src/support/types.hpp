@@ -18,6 +18,12 @@ using TaskId = std::int64_t;
 using LoadType = double;
 
 inline constexpr RankId invalid_rank = -1;
+
+/// The most ranks that input from outside a process may name: rank counts
+/// may reach it and rank ids stay below it. 2^20 ranks (a million-rank
+/// job) is far past any configuration the library runs; decoders reject
+/// larger values before they size a buffer by them.
+inline constexpr RankId kMaxRanks = RankId{1} << 20;
 inline constexpr TaskId invalid_task = -1;
 
 /// A single proposed or executed task relocation.

@@ -241,8 +241,8 @@ std::unique_ptr<Scenario> make_trace_scenario(std::string_view timeline_json,
       throw std::runtime_error("trace scenario: sample without snapshot");
     }
     auto const ranks = static_cast<RankId>(
-        trace_integer(s.at("snapshot_ranks").num(), 1.0,
-                      std::numeric_limits<RankId>::max(), "snapshot_ranks"));
+        trace_integer(s.at("snapshot_ranks").num(), 1.0, kMaxRanks,
+                      "snapshot_ranks"));
     if (num_ranks == 0) {
       num_ranks = ranks;
     } else if (ranks != num_ranks) {

@@ -120,7 +120,8 @@ public:
 /// spread evenly over the other ranks, everything normalized by the
 /// trace's mean per-rank load so intensities stay O(1). Phases beyond the
 /// trace wrap around (the replay loops). Throws std::runtime_error on
-/// malformed input or samples without snapshots.
+/// malformed input, samples without snapshots, or a rank count above
+/// kMaxRanks (checked before any per-rank row is allocated).
 [[nodiscard]] std::unique_ptr<Scenario>
 make_trace_scenario(std::string_view timeline_json,
                     std::string name = "trace");

@@ -1,8 +1,8 @@
 /// \file gossip_alloc_test.cpp
 /// Pins the inform plane's zero-allocation property: after a warm-up
-/// epoch has grown every capacity (knowledge vectors, snapshot-pool
-/// buffers, inbox scratch, overlay peer lists, runtime mailboxes),
-/// steady-state inform rounds must perform zero heap allocations.
+/// epoch has grown every capacity (knowledge vectors and bitsets, epoch
+/// arenas, overlay peer lists, runtime mailboxes), steady-state inform
+/// rounds must perform zero heap allocations.
 ///
 /// The counter is a global operator new/delete override, which is why
 /// this test lives in its own binary: the override is process-wide and
@@ -74,7 +74,7 @@ TEST(GossipAllocTest, SteadyStateInformRoundsDoNotAllocate) {
 
 TEST(GossipAllocTest, FullWireAlsoRunsAllocationFree) {
   // The zero-allocation property is a plane invariant, not a delta-mode
-  // perk: full snapshots serialize into the same pooled buffers.
+  // perk: full snapshots serialize into the same epoch arenas.
   RankId const p = 16;
   rt::RuntimeConfig cfg;
   cfg.num_ranks = p;
@@ -103,6 +103,48 @@ TEST(GossipAllocTest, FullWireAlsoRunsAllocationFree) {
   start_counting_allocations();
   run_epoch();
   EXPECT_EQ(stop_counting_allocations(), 0u);
+}
+
+TEST(GossipAllocTest, CappedKnowledgeAlsoRunsAllocationFree) {
+  // Capped knowledge truncates on receipt and resends a full snapshot
+  // after every truncation: the one path whose arena bound is sized from
+  // the cap rather than from P, and the only one that sorts mid-epoch.
+  RankId const p = 32;
+  rt::RuntimeConfig cfg;
+  cfg.num_ranks = p;
+  cfg.seed = 31;
+  cfg.mailbox_reserve = 4096;
+  rt::Runtime rt{cfg};
+  std::vector<LoadType> loads(static_cast<std::size_t>(p));
+  Rng gen{13};
+  for (auto& l : loads) {
+    l = gen.uniform(0.0, 2.0);
+  }
+  auto plane = std::make_shared<InformPlane>(p, cfg.seed, GossipWire::delta,
+                                             6, 10, /*max_knowledge=*/4,
+                                             nullptr);
+  auto run_epoch = [&] {
+    plane->reset_epoch();
+    rt.post_all([&plane, &loads](rt::RankContext& ctx) {
+      auto const load = loads[static_cast<std::size_t>(ctx.rank())];
+      if (load < 1.0) {
+        plane->seed_and_forward(ctx, load);
+      }
+    });
+    ASSERT_TRUE(rt.run_until_quiescent());
+  };
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    run_epoch();
+  }
+  start_counting_allocations();
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    run_epoch();
+  }
+  EXPECT_EQ(stop_counting_allocations(), 0u);
+  // The cap held, so truncation (and its full-snapshot recovery) ran.
+  for (RankId r = 0; r < p; ++r) {
+    EXPECT_LE(plane->knowledge_of(r).size(), 4u);
+  }
 }
 
 } // namespace

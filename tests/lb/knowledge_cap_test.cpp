@@ -18,8 +18,6 @@ Knowledge make_knowledge(int n) {
 
 TEST(KnowledgeTruncate, ZeroCapIsNoop) {
   auto k = make_knowledge(10);
-  k.truncate_to(0);
-  EXPECT_EQ(k.size(), 10u);
   Rng rng{1};
   k.truncate_random(0, rng);
   EXPECT_EQ(k.size(), 10u);
@@ -27,38 +25,9 @@ TEST(KnowledgeTruncate, ZeroCapIsNoop) {
 
 TEST(KnowledgeTruncate, CapLargerThanSizeIsNoop) {
   auto k = make_knowledge(5);
-  k.truncate_to(10);
+  Rng rng{1};
+  k.truncate_random(10, rng);
   EXPECT_EQ(k.size(), 5u);
-}
-
-TEST(KnowledgeTruncate, KeepsLowestLoads) {
-  auto k = make_knowledge(10);
-  k.truncate_to(3);
-  ASSERT_EQ(k.size(), 3u);
-  // Lightest three are ranks 7, 8, 9 (loads 3, 2, 1).
-  EXPECT_TRUE(k.contains(7));
-  EXPECT_TRUE(k.contains(8));
-  EXPECT_TRUE(k.contains(9));
-}
-
-TEST(KnowledgeTruncate, ResultStaysSortedByRank) {
-  auto k = make_knowledge(20);
-  k.truncate_to(7);
-  auto const e = k.entries();
-  for (std::size_t i = 1; i < e.size(); ++i) {
-    EXPECT_LT(e[i - 1].rank, e[i].rank);
-  }
-}
-
-TEST(KnowledgeTruncate, LoadTiesBrokenByRank) {
-  Knowledge k;
-  k.insert(5, 1.0);
-  k.insert(3, 1.0);
-  k.insert(8, 1.0);
-  k.truncate_to(2);
-  EXPECT_TRUE(k.contains(3));
-  EXPECT_TRUE(k.contains(5));
-  EXPECT_FALSE(k.contains(8));
 }
 
 TEST(KnowledgeTruncateRandom, SubsetOfOriginal) {

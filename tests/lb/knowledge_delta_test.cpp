@@ -101,6 +101,21 @@ TEST(KnowledgeDelta, PackDeltaRoundTripsAndMatchesItsSizeFunction) {
   }
 }
 
+TEST(KnowledgeDelta, MarkAheadOfTheCounterShipsOnlyLaterStamps) {
+  // A mark past version_mark() names no entry yet; entries stamped up to
+  // it later must still stay out of that delta.
+  Knowledge k;
+  k.insert(1, 1.0);
+  k.insert(2, 2.0);
+  EXPECT_EQ(k.wire_bytes_delta(4), 1u); // just the zero count
+  k.insert(3, 3.0); // stamp 3
+  k.insert(4, 4.0); // stamp 4
+  EXPECT_EQ(k.wire_bytes_delta(4), 1u);
+  k.insert(5, 5.0); // stamp 5: the first one past the mark
+  EXPECT_EQ(k.delta_count(4), 1u);
+  EXPECT_EQ(k.wire_bytes_delta(4), 1 + 1 + 8u);
+}
+
 TEST(KnowledgeDelta, TruncationRaisesTheRecoveryFlagOnce) {
   Knowledge k;
   for (RankId r = 0; r < 16; ++r) {
@@ -116,7 +131,7 @@ TEST(KnowledgeDelta, TruncationRaisesTheRecoveryFlagOnce) {
   // forward can stay a delta.
   k.truncate_random(8, rng);
   EXPECT_FALSE(k.take_truncated());
-  k.truncate_to(4);
+  k.truncate_random(4, rng);
   EXPECT_FALSE(k.take_truncated());
 }
 
@@ -193,6 +208,36 @@ TEST(KnowledgeDeltaDeath, EntryCountBeyondThePayloadAbortsBeforeSizing) {
   Knowledge inbox;
   rt::Unpacker u{p.bytes()};
   EXPECT_DEATH(inbox.unpack_into(u), "remaining\\(\\)");
+}
+
+TEST(KnowledgeDeltaDeath, RankPastTheRankLimitAbortsBeforeSizing) {
+  // The membership bitset is sized by the largest rank id, so a hostile
+  // id must be rejected before it grows anything: the last id below
+  // kMaxRanks decodes, the next one (or one that would wrap a gap past
+  // 2^64) dies.
+  auto payload = [](std::uint64_t first_gap, std::uint64_t second_gap) {
+    rt::Packer p;
+    p.pack_varint(2);
+    p.pack_varint(first_gap);
+    p.pack_varint(second_gap);
+    p.pack(1.0);
+    p.pack(2.0);
+    return p;
+  };
+  auto const top = static_cast<std::uint64_t>(kMaxRanks) - 1;
+  {
+    auto const p = payload(0, top - 1);
+    rt::Unpacker u{p.bytes()};
+    Knowledge k;
+    k.merge_packed(u);
+    EXPECT_TRUE(k.contains(kMaxRanks - 1));
+  }
+  for (std::uint64_t const gap : {top, ~std::uint64_t{0}}) {
+    auto const p = payload(0, gap);
+    rt::Unpacker u{p.bytes()};
+    Knowledge k;
+    EXPECT_DEATH(k.merge_packed(u), "precondition") << gap;
+  }
 }
 
 } // namespace

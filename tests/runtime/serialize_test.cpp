@@ -140,47 +140,42 @@ TEST(SerializeVarintDeath, OverflowingEncodingAborts) {
   EXPECT_DEATH((void)u.unpack_varint(), "precondition");
 }
 
-TEST(SerializeScratch, ScratchPackerReusesCapacityAndKeepsBytes) {
-  std::vector<std::byte> scratch;
+TEST(SerializeArena, ArenaPackerAppendsWithoutReallocating) {
+  std::vector<std::byte> arena;
+  arena.reserve(16);
+  auto const* const data = arena.data();
   {
-    Packer p{scratch};
+    Packer p{arena};
     p.pack(std::uint64_t{41});
-    EXPECT_EQ(scratch.size(), sizeof(std::uint64_t));
   }
-  auto const cap = scratch.capacity();
-  auto const* data = scratch.data();
   {
-    Packer p{scratch}; // clears but keeps capacity
-    EXPECT_EQ(p.size(), 0u);
+    Packer p{arena}; // appends after the bytes already handed out
     p.pack(std::uint32_t{7});
-    Unpacker u{p.bytes()};
-    EXPECT_EQ(u.unpack<std::uint32_t>(), 7u);
+    EXPECT_EQ(p.size(), 12u);
   }
-  EXPECT_EQ(scratch.capacity(), cap);
-  EXPECT_EQ(scratch.data(), data); // no reallocation happened
+  EXPECT_EQ(arena.data(), data); // no reallocation happened
+  Unpacker u{arena};
+  EXPECT_EQ(u.unpack<std::uint64_t>(), 41u);
+  EXPECT_EQ(u.unpack<std::uint32_t>(), 7u);
+  EXPECT_TRUE(u.exhausted());
 }
 
-TEST(SerializeScratchDeath, TakeFromScratchPackerAborts) {
-  std::vector<std::byte> scratch;
-  Packer p{scratch};
+TEST(SerializeArenaDeath, WritePastTheReservedCapacityAborts) {
+  // Earlier bytes may be in use by readers on other ranks: outgrowing the
+  // reservation must stop the program, not move them.
+  std::vector<std::byte> arena;
+  arena.reserve(8);
+  Packer p{arena};
+  p.pack(std::uint32_t{1});
+  EXPECT_DEATH(p.pack(std::uint64_t{2}), "precondition");
+}
+
+TEST(SerializeArenaDeath, TakeFromArenaPackerAborts) {
+  std::vector<std::byte> arena;
+  arena.reserve(8);
+  Packer p{arena};
   p.pack(1);
   EXPECT_DEATH((void)std::move(p).take(), "precondition");
-}
-
-TEST(SnapshotPoolTest, RecyclesSlotsOnceReleased) {
-  SnapshotPool pool;
-  auto a = pool.acquire();
-  a->bytes.resize(64);
-  auto b = pool.acquire(); // `a` still held: must be a distinct slot
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(pool.size(), 2u);
-  auto const* recycled = a.get();
-  a.reset();
-  auto c = pool.acquire(); // `a` released: its slot comes back, cleared...
-  EXPECT_EQ(c.get(), recycled);
-  EXPECT_TRUE(c->bytes.empty());
-  EXPECT_GE(c->bytes.capacity(), 64u); // ...with its capacity intact
-  EXPECT_EQ(pool.size(), 2u);          // steady state: no new slots
 }
 
 TEST(SerializeKnowledge, RoundTripPreservesEntries) {

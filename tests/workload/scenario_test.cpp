@@ -262,6 +262,12 @@ TEST(TraceScenario, RejectsMalformedDocuments) {
               "top_loads": [{"rank": 0, "load": 3}])",
            R"("snapshot_ranks": 1e30, "rest_load_sum": 3,
               "top_loads": [{"rank": 0, "load": 3}])",
+           // Integral and in RankId's range, but past kMaxRanks: rejected
+           // before a per-rank row (17 GB at 2^31 - 1) is allocated.
+           R"("snapshot_ranks": 2147483647, "rest_load_sum": 3,
+              "top_loads": [{"rank": 0, "load": 3}])",
+           R"("snapshot_ranks": 1048577, "rest_load_sum": 3,
+              "top_loads": [{"rank": 0, "load": 3}])",
            R"("snapshot_ranks": 4, "rest_load_sum": 3,
               "top_loads": [{"rank": 1.5, "load": 3}])",
            R"("snapshot_ranks": 4, "rest_load_sum": 3,
