@@ -8,9 +8,8 @@
 
 #include <iostream>
 
+#include "lb/strategy/greedy.hpp"
 #include "lb/strategy/strategy.hpp"
-#include "lbaf/assignment.hpp"
-#include "lbaf/greedy_ref.hpp"
 #include "lbaf/workload.hpp"
 #include "support/config.hpp"
 #include "support/stats.hpp"
@@ -66,8 +65,7 @@ int main(int argc, char** argv) {
   for (auto const& c : cases) {
     auto const input = to_input(c.workload);
     double const before = imbalance(input.rank_loads());
-    lbaf::Assignment const initial{c.workload};
-    double const lpt_floor = lbaf::greedy_imbalance(initial);
+    double const lpt_floor = lb::greedy_imbalance(input);
 
     std::cout << "== " << c.name << "  (initial I = " << Table::fmt(before, 2)
               << ", LPT reference I = " << Table::fmt(lpt_floor, 3)

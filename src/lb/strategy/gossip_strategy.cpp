@@ -10,9 +10,9 @@
 #include "obs/lb_report.hpp"
 #include "obs/tracer.hpp"
 #include "runtime/collectives.hpp"
+#include "runtime/delivery.hpp"
 #include "support/assert.hpp"
 #include "support/check.hpp"
-#include "support/seq_outcome_map.hpp"
 #include "support/stats.hpp"
 
 namespace tlb::lb {
@@ -35,8 +35,14 @@ struct RankState {
   std::vector<SpecTask> tasks;
 };
 
-struct Shared {
+/// The block every epoch's handlers share, and the transfer epoch's
+/// delivery hooks: an accepted proposal moves its task speculatively, a
+/// rejected or lost one goes back to its origin.
+struct Shared final : rt::DeliveryHooks {
   std::vector<RankState> states;
+  /// outbox[r][i]: the task of rank r's delivery item i this epoch,
+  /// written by rank r's transfer pass before its first send.
+  std::vector<std::vector<SpecTask>> outbox;
   /// The inform stage: per-rank knowledge, forwarding cascade, and the
   /// delta-encoded wire plane (see inform_plane.hpp).
   /// Its messages point back at it: balance() holds this block across
@@ -53,105 +59,39 @@ struct Shared {
   /// InlineHandler rejects at compile time.
   LbParams params;
   obs::LbReportBuilder* report = nullptr; ///< optional introspection sink
+
+  /// Take the task, unless Menon-style negative acknowledgement
+  /// (optional) refuses one that would push this rank past the average.
+  bool apply(RankId at, RankId origin, std::uint32_t index) override {
+    SpecTask const& moved =
+        outbox[static_cast<std::size_t>(origin)][index];
+    auto& dst = states[static_cast<std::size_t>(at)];
+    if (use_nacks && dst.load + moved.load > l_ave) {
+      if (report != nullptr) {
+        report->on_nack();
+      }
+      return false;
+    }
+    dst.tasks.push_back(moved);
+    dst.load += moved.load;
+    return true;
+  }
+
+  void give_back(RankId origin, std::uint32_t index) override {
+    auto& src = states[static_cast<std::size_t>(origin)];
+    SpecTask const& moved =
+        outbox[static_cast<std::size_t>(origin)][index];
+    src.tasks.push_back(moved);
+    src.load += moved.load;
+  }
 };
 
-/// Resilient transfer-epoch state (only used when the runtime has an
-/// active fault plane). Each speculative task move becomes a
-/// sequence-numbered Proposal held by its origin until the destination's
-/// accept/reject acknowledgement arrives; unacknowledged proposals are
-/// retried with exponential backoff and reconciled against the receivers'
-/// dedup tables once the retry budget runs out, so a task is never lost
-/// and never applied twice no matter which leg of the handshake the
-/// network eats.
-struct ResilientXfer {
-  struct Proposal {
-    std::uint64_t seq = 0;
-    SpecTask task;
-    RankId from = invalid_rank;
-    RankId to = invalid_rank;
-    int attempts = 0;
-    // `resolved`/`accepted` are written by the origin rank's ack handler
-    // (or the driver at a quiescent point); `seen` entries only by each
-    // destination's handlers. Distinct locations per writer: no races.
-    char resolved = 0;
-    char accepted = 0;
-  };
-  /// outbox[r] — proposals originated by rank r. Filled once by rank r's
-  /// transfer-pass handler before any send references them; never resized
-  /// afterwards, so Proposal pointers stay stable across retries.
-  std::vector<std::vector<Proposal>> outbox;
-  /// seen[r] — seq → accepted outcome for every proposal rank r has
-  /// decided. The receiver-side dedup table: a duplicated or retried
-  /// proposal replays the recorded outcome instead of re-applying. A flat
-  /// open-addressing table — the find on every delivery attempt is the
-  /// fault path's hottest lookup.
-  std::vector<SeqOutcomeMap> seen;
-
-  explicit ResilientXfer(RankId p)
-      : outbox(static_cast<std::size_t>(p)),
-        seen(static_cast<std::size_t>(p)) {}
-};
-
-constexpr std::size_t kProposalBytes = sizeof(SpecTask) + sizeof(std::uint64_t);
-constexpr std::size_t kAckBytes = sizeof(std::uint64_t) + 1;
-
-/// One delivery attempt of `prop` from the origin rank's context. The
-/// destination decides (or replays) the outcome and acknowledges; the
-/// origin applies a rejection by taking the task back.
-void send_proposal(std::shared_ptr<Shared> const& shared,
-                   std::shared_ptr<ResilientXfer> const& rx,
-                   rt::RankContext& ctx, ResilientXfer::Proposal* prop) {
-  ctx.send(
-      prop->to, kProposalBytes,
-      [shared, rx, prop](rt::RankContext& dest) {
-        auto& decided = rx->seen[static_cast<std::size_t>(dest.rank())];
-        char const* const known = decided.find(prop->seq);
-        char accepted;
-        if (known != nullptr) {
-          accepted = *known; // duplicate: replay, don't re-apply
-        } else {
-          auto& dst = shared->states[static_cast<std::size_t>(dest.rank())];
-          if (shared->use_nacks &&
-              dst.load + prop->task.load > shared->l_ave) {
-            if (shared->report != nullptr) {
-              shared->report->on_nack();
-            }
-            accepted = 0;
-          } else {
-            dst.tasks.push_back(prop->task);
-            dst.load += prop->task.load;
-            accepted = 1;
-          }
-          decided.insert(prop->seq, accepted);
-        }
-        dest.send(
-            prop->from, kAckBytes,
-            [shared, prop, accepted](rt::RankContext& back) {
-              if (prop->resolved != 0) {
-                return; // duplicated ack: already settled
-              }
-              prop->resolved = 1;
-              prop->accepted = accepted;
-              if (accepted == 0) {
-                auto& src =
-                    shared->states[static_cast<std::size_t>(back.rank())];
-                src.tasks.push_back(prop->task);
-                src.load += prop->task.load;
-              }
-            },
-            rt::MessageKind::transfer);
-      },
-      rt::MessageKind::transfer);
-}
-
-/// One rank's transfer pass (Algorithm 2), shared by both transfer epochs.
-/// If the rank is overloaded, run the pass over its speculative tasks,
-/// report it, and remove each proposed task from the rank, handing the
-/// task and its recipient to `propose` in proposal order. Each epoch's
-/// `propose` does its own delivery.
-template <class Propose>
+/// One rank's transfer pass (Algorithm 2). If the rank is overloaded, run
+/// the pass over its speculative tasks, report it, and move each proposed
+/// task from the rank into its outbox, then send the proposals through
+/// `batch` in proposal order.
 void transfer_pass(Shared& shared, rt::RankContext& ctx,
-                   Propose const& propose) {
+                   rt::DeliveryBatch& batch) {
   auto& st = shared.states[static_cast<std::size_t>(ctx.rank())];
   if (st.load <= shared.threshold * shared.l_ave) {
     return;
@@ -170,15 +110,17 @@ void transfer_pass(Shared& shared, rt::RankContext& ctx,
                                     transfer.cmf_rebuilds);
   }
   st.load = transfer.final_load;
+  auto& outbox = shared.outbox[static_cast<std::size_t>(ctx.rank())];
   for (Migration const& m : transfer.migrations) {
     auto const it =
         std::find_if(st.tasks.begin(), st.tasks.end(),
                      [&](SpecTask const& t) { return t.id == m.task; });
     TLB_ASSERT(it != st.tasks.end());
-    SpecTask const moved = *it;
+    outbox.push_back(*it);
     st.tasks.erase(it);
-    propose(moved, m.to);
+    batch.add(ctx.rank(), m.to, sizeof(SpecTask));
   }
+  batch.send(ctx);
 }
 
 } // namespace
@@ -207,19 +149,12 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   TLB_EXPECTS(params.rounds >= 1 && params.rounds <= 63);
 
   TLB_SPAN_ARG("lb", "balance", "ranks", p);
-  // Resilient mode engages only when a fault plane is live: fault-free
-  // runs keep the legacy message patterns bit-for-bit (goldens depend on
-  // the exact send sequence each rank's RNG stream sees).
-  bool const resilient = rt.fault_active();
-  rt::RetryPolicy const& retry = rt.config().retry;
   auto const stats_before = rt.stats();
 
   // Stage 0: constant-size statistics reduction (l_max, l_ave).
   auto const initial_loads = input.rank_loads();
   bool stats_complete = true;
-  auto const stat =
-      rt::allreduce_loads(rt, initial_loads,
-                          resilient ? &stats_complete : nullptr)[0];
+  auto const stat = rt::allreduce_loads(rt, initial_loads, &stats_complete)[0];
   LoadType const l_ave = stat.average();
 
   StrategyResult result;
@@ -259,6 +194,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   shared->params = params;
   shared->report = introspection_;
   shared->states.resize(static_cast<std::size_t>(p));
+  shared->outbox.resize(static_cast<std::size_t>(p));
 
   auto reset_states = [&] {
     for (RankId r = 0; r < p; ++r) {
@@ -303,132 +239,19 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
 
       // --- Transfer pass (Algorithm 2) on every overloaded rank; the
       // accepted proposals are *notification* messages: the task payload
-      // does not move until the best state is committed. ---
-      if (!resilient) {
+      // does not move until the best state is committed. One delivery
+      // batch carries them; its settle() conserves the proposed placement
+      // under any drop/duplicate/delay injection. ---
+      {
         TLB_SPAN_ARG("lb", "transfer", "iter", iter);
-        rt.post_all([shared](rt::RankContext& ctx) {
-          RankId const sender = ctx.rank();
-          transfer_pass(*shared, ctx, [&](SpecTask const& moved, RankId to) {
-            ctx.send(
-                to, sizeof(SpecTask),
-                [shared, moved, sender](rt::RankContext& dest) {
-                  auto& dst =
-                      shared->states[static_cast<std::size_t>(dest.rank())];
-                  // Menon-style negative acknowledgement (optional):
-                  // refuse proposals that would push this rank past the
-                  // average, bouncing the task back to its sender.
-                  if (shared->use_nacks &&
-                      dst.load + moved.load > shared->l_ave) {
-                    if (shared->report != nullptr) {
-                      shared->report->on_nack();
-                    }
-                    dest.send(
-                        sender, sizeof(SpecTask),
-                        [shared, moved](rt::RankContext& back) {
-                          auto& src = shared->states[static_cast<std::size_t>(
-                              back.rank())];
-                          src.tasks.push_back(moved);
-                          src.load += moved.load;
-                        },
-                        rt::MessageKind::transfer);
-                    return;
-                  }
-                  dst.tasks.push_back(moved);
-                  dst.load += moved.load;
-                },
-                rt::MessageKind::transfer);
-          });
-        });
-        rt.run_until_quiescent();
-      } else {
-        // --- Resilient transfer epoch: every speculative move is a
-        // sequence-numbered proposal that the origin holds until the
-        // destination's accept/reject ack lands; lost legs are retried
-        // with exponential backoff and survivors reconciled against the
-        // receivers' dedup tables, so the proposed placement conserves
-        // tasks under arbitrary drop/duplicate/delay injection. ---
-        TLB_SPAN_ARG("lb", "transfer", "iter", iter);
-        auto rx = std::make_shared<ResilientXfer>(p);
-        rt.post_all([shared, rx](rt::RankContext& ctx) {
-          auto& outbox = rx->outbox[static_cast<std::size_t>(ctx.rank())];
-          transfer_pass(*shared, ctx, [&](SpecTask const& moved, RankId to) {
-            ResilientXfer::Proposal prop;
-            prop.seq = (static_cast<std::uint64_t>(ctx.rank()) << 32) |
-                       outbox.size();
-            prop.task = moved;
-            prop.from = ctx.rank();
-            prop.to = to;
-            prop.attempts = 1;
-            outbox.push_back(prop);
-          });
-          // Send only after the outbox is fully built: handlers capture
-          // pointers into it, so it must never grow again.
-          for (auto& pending : outbox) {
-            send_proposal(shared, rx, ctx, &pending);
-          }
-        });
-        epoch_valid = rt.run_until_quiescent() && epoch_valid;
-
-        // Timeout = quiescence with the ack missing: that leg of the
-        // handshake was provably lost. Retry with exponential backoff
-        // until resolved or the attempt budget runs out.
-        int const max_attempts =
-            retry.max_attempts > 0 ? retry.max_attempts : 1;
-        for (;;) {
-          bool retried = false;
-          for (auto& outbox : rx->outbox) {
-            for (auto& prop : outbox) {
-              if (prop.resolved != 0 || prop.attempts >= max_attempts) {
-                continue;
-              }
-              std::uint64_t backoff =
-                  retry.backoff_base_polls
-                  << (static_cast<unsigned>(prop.attempts) - 1u);
-              if (backoff > retry.max_backoff_polls) {
-                backoff = retry.max_backoff_polls;
-              }
-              ++prop.attempts;
-              rt.record_retry(rt::MessageKind::transfer);
-              ResilientXfer::Proposal* pending = &prop;
-              rt.post_delayed(
-                  prop.from,
-                  [shared, rx, pending](rt::RankContext& ctx) {
-                    send_proposal(shared, rx, ctx, pending);
-                  },
-                  backoff, 0, rt::MessageKind::transfer);
-              retried = true;
-            }
-          }
-          if (!retried) {
-            break;
-          }
-          epoch_valid = rt.run_until_quiescent() && epoch_valid;
+        for (auto& outbox : shared->outbox) {
+          outbox.clear();
         }
-
-        // Reconcile exhausted proposals at this quiescent point. The
-        // receiver's dedup table is ground truth: an entry means the
-        // proposal was applied (or rejected) and only the ack was lost;
-        // no entry means no delivery ever landed. Either way the origin
-        // takes back anything that is not provably accepted.
-        for (auto& outbox : rx->outbox) {
-          for (auto& prop : outbox) {
-            if (prop.resolved != 0) {
-              continue;
-            }
-            auto const& decided =
-                rx->seen[static_cast<std::size_t>(prop.to)];
-            char const* const outcome = decided.find(prop.seq);
-            bool const applied = outcome != nullptr && *outcome != 0;
-            prop.resolved = 1;
-            prop.accepted = applied ? 1 : 0;
-            if (!applied) {
-              auto& src =
-                  shared->states[static_cast<std::size_t>(prop.from)];
-              src.tasks.push_back(prop.task);
-              src.load += prop.task.load;
-            }
-          }
-        }
+        rt::DeliveryBatch batch{rt, rt::MessageKind::transfer, *shared};
+        rt.post_all([shared, batch = &batch](rt::RankContext& ctx) {
+          transfer_pass(*shared, ctx, *batch);
+        });
+        epoch_valid = batch.settle().quiescent && epoch_valid;
       }
 
       TLB_AUDIT_BLOCK {
@@ -461,8 +284,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
       }
       bool eval_complete = true;
       auto const iter_stat =
-          rt::allreduce_loads(rt, spec_loads,
-                              resilient ? &eval_complete : nullptr)[0];
+          rt::allreduce_loads(rt, spec_loads, &eval_complete)[0];
       if (!eval_complete) {
         epoch_valid = false;
       }

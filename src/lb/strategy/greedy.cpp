@@ -1,9 +1,8 @@
 #include "lb/strategy/greedy.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <queue>
 
+#include "lb/lpt.hpp"
 #include "support/assert.hpp"
 #include "support/stats.hpp"
 
@@ -24,34 +23,16 @@ struct GatherState {
   std::vector<std::vector<Migration>> instructions;
 };
 
-/// The centralized LPT, executed inside rank 0's handler when the last
-/// gather message lands: heaviest tasks first onto the least-loaded rank.
-std::vector<std::vector<Migration>> rank0_lpt(GatherState& gather,
-                                              RankId p) {
-  std::sort(gather.tasks.begin(), gather.tasks.end(),
-            [](GatheredTask const& a, GatheredTask const& b) {
-              if (a.entry.load != b.entry.load) {
-                return a.entry.load > b.entry.load;
-              }
-              return a.entry.id < b.entry.id;
-            });
-  using HeapItem = std::pair<LoadType, RankId>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-  for (RankId r = 0; r < p; ++r) {
-    heap.emplace(0.0, r);
-  }
-  std::vector<std::vector<Migration>> per_source(
-      static_cast<std::size_t>(p));
-  for (GatheredTask const& t : gather.tasks) {
-    auto [load, rank] = heap.top();
-    heap.pop();
-    heap.emplace(load + t.entry.load, rank);
+/// GreedyLB's placement: LPT over all `p` ranks. Returns the tasks that
+/// change rank, heaviest first.
+std::vector<Migration> lpt_moves(std::vector<GatheredTask>& tasks, RankId p) {
+  std::vector<Migration> moves;
+  lpt_schedule(tasks, p, [&](GatheredTask const& t, RankId rank) {
     if (rank != t.home) {
-      per_source[static_cast<std::size_t>(t.home)].push_back(
-          Migration{t.entry.id, t.home, rank, t.entry.load});
+      moves.push_back(Migration{t.entry.id, t.home, rank, t.entry.load});
     }
-  }
-  return per_source;
+  });
+  return moves;
 }
 
 } // namespace
@@ -87,7 +68,11 @@ StrategyResult GreedyStrategy::balance(rt::Runtime& rt,
         if (--gather->pending > 0) {
           return;
         }
-        auto per_source = rank0_lpt(*gather, p);
+        std::vector<std::vector<Migration>> per_source(
+            static_cast<std::size_t>(p));
+        for (Migration const& m : lpt_moves(gather->tasks, p)) {
+          per_source[static_cast<std::size_t>(m.from)].push_back(m);
+        }
         for (RankId dest = 0; dest < p; ++dest) {
           auto instructions =
               std::move(per_source[static_cast<std::size_t>(dest)]);
@@ -123,6 +108,16 @@ StrategyResult GreedyStrategy::balance(rt::Runtime& rt,
     result.cost.migrated_load += m.load;
   }
   return result;
+}
+
+double greedy_imbalance(StrategyInput const& input) {
+  std::vector<GatheredTask> tasks;
+  for (RankId r = 0; r < input.num_ranks(); ++r) {
+    for (TaskEntry const& t : input.tasks[static_cast<std::size_t>(r)]) {
+      tasks.push_back(GatheredTask{t, r});
+    }
+  }
+  return imbalance(project_loads(input, lpt_moves(tasks, input.num_ranks())));
 }
 
 } // namespace tlb::lb

@@ -21,4 +21,9 @@ public:
                                        LbParams const& params) override;
 };
 
+/// The imbalance I of GreedyLB's LPT placement of `input`, computed
+/// without the protocol: the centralized quality floor the distributed
+/// schemes are measured against.
+[[nodiscard]] double greedy_imbalance(StrategyInput const& input);
+
 } // namespace tlb::lb

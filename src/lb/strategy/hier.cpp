@@ -5,6 +5,7 @@
 #include <memory>
 #include <queue>
 
+#include "lb/lpt.hpp"
 #include "support/assert.hpp"
 #include "support/stats.hpp"
 
@@ -80,22 +81,14 @@ struct Shared {
 void leader_lpt(Shared& sh, RankId g) {
   auto& gs = sh.groups[static_cast<std::size_t>(g)];
   RankId const lo = sh.group_lo(g);
-  RankId const hi = sh.group_hi(g);
-  std::sort(gs.tasks.begin(), gs.tasks.end(), heavier_first);
-  MinHeap heap;
-  for (RankId r = lo; r < hi; ++r) {
-    heap.emplace(0.0, r);
-  }
-  gs.member_loads.assign(static_cast<std::size_t>(hi - lo), 0.0);
+  RankId const members = sh.group_hi(g) - lo;
+  gs.member_loads.assign(static_cast<std::size_t>(members), 0.0);
   gs.load = 0.0;
-  for (PlacedTask& t : gs.tasks) {
-    auto [load, rank] = heap.top();
-    heap.pop();
-    heap.emplace(load + t.entry.load, rank);
-    t.current = rank;
-    gs.member_loads[static_cast<std::size_t>(rank - lo)] += t.entry.load;
+  lpt_schedule(gs.tasks, members, [&](PlacedTask& t, RankId member) {
+    t.current = lo + member;
+    gs.member_loads[static_cast<std::size_t>(member)] += t.entry.load;
     gs.load += t.entry.load;
-  }
+  });
 }
 
 /// Root: compute per-group targets, pull excess tasks from overloaded

@@ -9,16 +9,18 @@
 
 namespace tlb::rt {
 
-/// Resilience knobs for the hardened message/migration protocols
-/// (ObjectStore::migrate and the gossip strategy's transfer handshake).
-/// Timeouts in the simulated runtime are quiescence boundaries: a send
-/// whose acknowledgement has not arrived once the network is quiescent is
-/// provably lost (dropped or purged by the fault plane), so each retry
-/// attempt is separated by a run to quiescence and resent after an
-/// exponentially growing poll-count backoff.
+/// Resilience knobs for the fault-mode delivery protocol (rt::DeliveryBatch,
+/// which carries the gossip strategy's transfer proposals and
+/// ObjectStore::migrate's payloads). Timeouts in the simulated runtime are
+/// quiescence boundaries: a send whose acknowledgement has not arrived
+/// once the network is quiescent is provably lost (dropped or purged by
+/// the fault plane), so each retry attempt is separated by a run to
+/// quiescence and resent after an exponentially growing poll-count
+/// backoff.
 struct RetryPolicy {
-  /// Resend attempts after the initial send before a transfer/migration
-  /// is abandoned (NACKed out) and its task reinstated at the origin.
+  /// Sends per item, the initial send included (4 means 3 resends; below
+  /// 1 still sends once). An item unacked after the last is settled from
+  /// the destination's record.
   int max_attempts = 4;
   /// Attempt k's resend is parked for base << (k-1) drain polls of the
   /// origin rank (bounded by max_backoff_polls) before going out.

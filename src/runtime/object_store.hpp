@@ -44,12 +44,12 @@ public:
 /// Thread-safety: creation and the migration protocol are driver-level
 /// operations executed between phases; handlers running concurrently
 /// during a phase may only touch tasks local to their own rank (a
-/// migration's install handler writes its destination rank's table and
-/// the directory entry of the task it installs, which no other handler
-/// shares). No lock guards the store, so there is no capability to
-/// annotate (support/thread_annotations.hpp) — the phase-discipline
-/// argument is exercised by the TSan stress gate and the migration
-/// conservation audits instead.
+/// migration's install handler writes only its destination rank's table;
+/// the driver updates the directory once the batch settles). No lock
+/// guards the store, so there is no capability to annotate
+/// (support/thread_annotations.hpp) — the phase-discipline argument is
+/// exercised by the TSan stress gate and the migration conservation
+/// audits instead.
 class ObjectStore {
 public:
   explicit ObjectStore(RankId num_ranks);
@@ -81,20 +81,20 @@ public:
   }
 
   /// Execute a batch of migrations via active messages on the runtime:
-  /// each origin rank extracts the payload and sends it to the target,
-  /// which installs it. Runs to quiescence. Migrations whose `from` does
-  /// not match the directory are rejected with a contract violation.
-  /// Returns the total payload bytes moved.
+  /// each origin rank sends its payload to the target, which installs it,
+  /// and the directory learns the new owners once the batch settles.
+  /// Migrations whose `from` does not match the directory are rejected
+  /// with a contract violation. Returns the total payload bytes moved.
   ///
-  /// When the runtime has an active fault plane (rt.fault_active()) the
-  /// batch runs a sequence-numbered commit protocol instead: each payload
-  /// send is acknowledged, deduplicated at the receiver (a duplicated
-  /// commit is a no-op), and retried with bounded exponential backoff per
-  /// rt.config().retry. Migrations whose retry budget is exhausted are
-  /// rolled back — the payload is reinstated at the origin, the directory
-  /// keeps the origin as owner, and the migration is reported through
-  /// failed_migrations(). Without a fault plane the legacy single-shot
-  /// message pattern is used, byte-for-byte identical to prior releases.
+  /// The payloads travel in one rt::DeliveryBatch (runtime/delivery.hpp).
+  /// Fault-free that is one driver post and one payload message per
+  /// migration. Under an active fault plane each payload send carries a
+  /// sequence number and is acknowledged, deduplicated at the receiver (a
+  /// duplicated commit is a no-op), and resent while unacked with bounded
+  /// exponential backoff per rt.config().retry. A migration that never
+  /// reached its destination is rolled back: the payload is reinstated at
+  /// the origin, the directory keeps the origin as owner, and the
+  /// migration is reported through failed_migrations().
   std::size_t migrate(Runtime& rt, std::vector<Migration> const& migrations);
 
   /// Migrations from the most recent migrate() call whose commit could not
@@ -145,23 +145,20 @@ private:
   struct Departure {
     Migration mig;
     std::size_t bytes = 0;
-    /// Shared with the messages that carry it to the destination.
-    std::shared_ptr<std::unique_ptr<Migratable>> payload;
+    /// Held here until the destination installs it (or it rolls back).
+    std::unique_ptr<Migratable> payload;
     /// The object itself, for the directory once it is installed.
     Migratable* object = nullptr;
   };
   /// Checks each migration against the directory and moves every payload
-  /// that changes rank out of its origin table (the directory is not
-  /// updated). Each origin table is then compacted in one erase-remove
-  /// pass.
-  [[nodiscard]] std::vector<Departure>
+  /// that changes rank out of its origin table, grouped by origin in
+  /// batch order (the directory is not updated). Each origin table is
+  /// then compacted in one erase-remove pass.
+  [[nodiscard]] std::vector<std::vector<Departure>>
   depart(std::vector<Migration> const& migrations);
   /// Inserts a payload into `rank`'s table in id order; returns it.
   Migratable* place(RankId rank, TaskId id,
                     std::unique_ptr<Migratable> payload);
-
-  std::size_t migrate_resilient(Runtime& rt,
-                                std::vector<Migration> const& migrations);
 
   /// Audit-build checks of the layout after a migrate batch; returns the
   /// number of resident tasks.

@@ -217,10 +217,10 @@ public:
   /// own it, so the caller must keep it alive until removed.
   void set_fault_hook(FaultHook* hook) { fault_ = hook; }
 
-  /// True when a hook is installed — the condition under which the
-  /// hardened (sequence-numbered, acked, retried) protocol paths activate.
-  /// With no fault plane the protocols keep their historical fault-free
-  /// message patterns bit-identically.
+  /// True when a hook is installed — the condition under which
+  /// rt::DeliveryBatch (runtime/delivery.hpp) runs its sequence-numbered,
+  /// acked, retried protocol. With no fault plane it keeps the historical
+  /// fault-free message patterns bit-identically.
   [[nodiscard]] bool fault_active() const {
     return fault_ != nullptr;
   }

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fault/fault_config.hpp"
@@ -111,6 +112,58 @@ TEST(ResilientMigrationTest, RetryExhaustionRollsBackWithoutWedging) {
   EXPECT_TRUE(rt.run_until_quiescent());
   EXPECT_EQ(delivered.load(), 1);
   rt.set_fault_hook(nullptr);
+}
+
+/// Drops the first migration message `rank` sends (a destination's first
+/// ack) and delivers everything else.
+class FirstAckDropper final : public rt::FaultHook {
+public:
+  explicit FirstAckDropper(RankId rank) : rank_{rank} {}
+  [[nodiscard]] rt::FaultDecision on_send(RankId from, RankId,
+                                          rt::MessageKind kind) override {
+    if (from == rank_ && kind == rt::MessageKind::migration &&
+        !dropped_.exchange(true)) {
+      return {rt::FaultAction::drop, 0};
+    }
+    return {};
+  }
+  [[nodiscard]] rt::DrainGate on_drain(RankId, std::uint64_t) override {
+    return rt::DrainGate::open;
+  }
+
+private:
+  RankId rank_;
+  std::atomic<bool> dropped_{false};
+};
+
+TEST(ResilientMigrationTest, LostAckIsRetriedAndDeduplicated) {
+  for (int const threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    rt::Runtime rt{config(4, 0xfeed, threads)};
+    rt::ObjectStore store{4};
+    store.create(0, 3, std::make_unique<Blob>(40, 3));
+    FirstAckDropper drop_ack{2};
+    rt.set_fault_hook(&drop_ack);
+    auto const bytes = store.migrate(rt, {Migration{3, 0, 2, 1.0}});
+    // The payload landed but its ack did not: the origin resends, the
+    // destination recognises the sequence and re-acks without installing
+    // twice, and the commit lands exactly once.
+    EXPECT_EQ(bytes, 40u);
+    EXPECT_TRUE(store.failed_migrations().empty());
+    EXPECT_EQ(store.owner(3), 2);
+    auto* blob = dynamic_cast<Blob*>(store.find(2, 3));
+    ASSERT_NE(blob, nullptr);
+    EXPECT_EQ(blob->tag(), 3);
+    EXPECT_EQ(store.total_tasks(), 1u);
+    for (RankId r = 0; r < 4; ++r) {
+      EXPECT_EQ(store.tasks_on(r).size(), r == 2 ? 1u : 0u);
+    }
+    auto const stats = rt.stats();
+    auto const migration = static_cast<std::size_t>(rt::MessageKind::migration);
+    EXPECT_EQ(stats.kind_dropped[migration], 1u);
+    EXPECT_GE(stats.kind_retried[migration], 1u);
+    rt.set_fault_hook(nullptr);
+  }
 }
 
 TEST(ResilientMigrationTest, LossyNetworkEventuallyCommitsViaRetry) {

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "lb/strategy/gossip_strategy.hpp"
+#include "lb/strategy/greedy.hpp"
 #include "lbaf/assignment.hpp"
 #include "lbaf/experiment.hpp"
-#include "lbaf/greedy_ref.hpp"
 #include "lbaf/workload.hpp"
 #include "pic/app.hpp"
 #include "support/stats.hpp"
@@ -88,8 +88,7 @@ TEST(CrossValidation, SequentialBestMigrationsMatchDistributedSemantics) {
 TEST(CrossValidation, GreedyReferenceBoundsGossipQuality) {
   auto const workload = lbaf::make_clustered(
       96, 3, 900, lbaf::LoadDistribution::uniform, 1.0, 17);
-  lbaf::Assignment const initial{workload};
-  double const greedy_floor = lbaf::greedy_imbalance(initial);
+  double const greedy_floor = lb::greedy_imbalance(to_input(workload));
 
   rt::RuntimeConfig cfg;
   cfg.num_ranks = 96;

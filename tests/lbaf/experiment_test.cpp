@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "lbaf/greedy_ref.hpp"
+#include "lb/strategy/greedy.hpp"
+#include "lb/strategy/strategy.hpp"
 
 namespace tlb::lbaf {
 namespace {
@@ -138,7 +139,11 @@ TEST(Experiment, ImbalanceNeverBelowGreedyFloorByMuch) {
   params.rounds = 8;
   auto const result = run_experiment(params, workload);
   Assignment const initial{workload};
-  double const greedy = greedy_imbalance(initial);
+  lb::StrategyInput input;
+  for (RankId r = 0; r < initial.num_ranks(); ++r) {
+    input.tasks.push_back(initial.tasks_of(r));
+  }
+  double const greedy = lb::greedy_imbalance(input);
   EXPECT_GE(result.best_imbalance, greedy - 1e-9);
 }
 
