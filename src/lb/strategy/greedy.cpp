@@ -52,19 +52,21 @@ StrategyResult GreedyStrategy::balance(rt::Runtime& rt,
   gather->instructions.resize(static_cast<std::size_t>(p));
   for (RankId r = 0; r < p; ++r) {
     auto const& rank_tasks = input.tasks[static_cast<std::size_t>(r)];
-    std::vector<GatheredTask> payload;
-    payload.reserve(rank_tasks.size());
+    // Behind a shared_ptr so the closures carrying it fit the envelope.
+    auto payload = std::make_shared<std::vector<GatheredTask>>();
+    payload->reserve(rank_tasks.size());
     for (TaskEntry const& t : rank_tasks) {
-      payload.push_back(GatheredTask{t, r});
+      payload->push_back(GatheredTask{t, r});
     }
-    std::size_t const bytes =
-        payload.size() * (sizeof(TaskId) + sizeof(LoadType)) +
-        sizeof(RankId);
-    rt.post(r, [gather, p, payload = std::move(payload),
-                bytes](rt::RankContext& ctx) {
+    rt.post(r, [gather, p,
+                payload = std::shared_ptr<std::vector<GatheredTask> const>{
+                    std::move(payload)}](rt::RankContext& ctx) {
+      std::size_t const bytes =
+          payload->size() * (sizeof(TaskId) + sizeof(LoadType)) +
+          sizeof(RankId);
       ctx.send(0, bytes, [gather, p, payload](rt::RankContext& root) {
-        gather->tasks.insert(gather->tasks.end(), payload.begin(),
-                             payload.end());
+        gather->tasks.insert(gather->tasks.end(), payload->begin(),
+                             payload->end());
         if (--gather->pending > 0) {
           return;
         }

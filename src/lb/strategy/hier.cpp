@@ -91,6 +91,13 @@ void leader_lpt(Shared& sh, RankId g) {
   });
 }
 
+/// A leader's report to the root: its group's load after peeling off the
+/// excess, and the excess tasks themselves.
+struct GroupReport {
+  LoadType load = 0.0;
+  std::vector<PlacedTask> exported;
+};
+
 /// Root: compute per-group targets, pull excess tasks from overloaded
 /// groups' reports, assign them to underloaded groups.
 struct RootDecision {
@@ -173,17 +180,20 @@ StrategyResult HierStrategy::balance(rt::Runtime& rt,
     auto const r = ctx.rank();
     auto const g = sh->group_of_rank(r);
     auto const& mine = input_ptr->tasks[static_cast<std::size_t>(r)];
-    std::vector<PlacedTask> payload;
-    payload.reserve(mine.size());
+    // Payloads ride behind shared_ptrs so the closures fit the envelope.
+    auto payload = std::make_shared<std::vector<PlacedTask>>();
+    payload->reserve(mine.size());
     for (TaskEntry const& t : mine) {
-      payload.push_back(PlacedTask{t, r, r});
+      payload->push_back(PlacedTask{t, r, r});
     }
-    std::size_t const bytes = payload.size() * sizeof(PlacedTask);
+    std::size_t const bytes = payload->size() * sizeof(PlacedTask);
     ctx.send(sh->leader_of_group(g), bytes,
-             [sh, g, payload = std::move(payload)](rt::RankContext& leader) {
+             [sh, g,
+              payload = std::shared_ptr<std::vector<PlacedTask> const>{
+                  std::move(payload)}](rt::RankContext& leader) {
                auto& gs = sh->groups[static_cast<std::size_t>(g)];
-               gs.tasks.insert(gs.tasks.end(), payload.begin(),
-                               payload.end());
+               gs.tasks.insert(gs.tasks.end(), payload->begin(),
+                               payload->end());
                if (--gs.pending_members > 0) {
                  return;
                }
@@ -195,7 +205,8 @@ StrategyResult HierStrategy::balance(rt::Runtime& rt,
 
                // Peel excess heaviest-first off the group's tasks while
                // above target.
-               std::vector<PlacedTask> exported;
+               auto report = std::make_shared<GroupReport>();
+               std::vector<PlacedTask>& exported = report->exported;
                if (gs.load > target) {
                  std::vector<PlacedTask*> by_load;
                  for (PlacedTask& t : gs.tasks) {
@@ -229,14 +240,15 @@ StrategyResult HierStrategy::balance(rt::Runtime& rt,
                std::size_t const report_bytes =
                    sizeof(LoadType) +
                    exported.size() * sizeof(PlacedTask);
-               LoadType const group_load = gs.load;
+               report->load = gs.load;
                leader.send(
                    0, report_bytes,
-                   [sh, g, group_load,
-                    exported = std::move(exported)](rt::RankContext& root) {
+                   [sh, g,
+                    report = std::shared_ptr<GroupReport const>{
+                        std::move(report)}](rt::RankContext& root) {
                      auto const gj = static_cast<std::size_t>(g);
-                     sh->root.group_loads[gj] = group_load;
-                     sh->root.exports[gj] = exported;
+                     sh->root.group_loads[gj] = report->load;
+                     sh->root.exports[gj] = report->exported;
                      if (--sh->root.pending_groups > 0) {
                        return;
                      }
@@ -244,9 +256,11 @@ StrategyResult HierStrategy::balance(rt::Runtime& rt,
                      auto const decision = root_decide(*sh);
                      for (RankId dg = 0; dg < sh->num_groups; ++dg) {
                        auto incoming =
-                           decision.incoming[static_cast<std::size_t>(dg)];
+                           std::make_shared<std::vector<PlacedTask> const>(
+                               decision.incoming[static_cast<std::size_t>(
+                                   dg)]);
                        std::size_t const bytes2 =
-                           incoming.size() * sizeof(PlacedTask);
+                           incoming->size() * sizeof(PlacedTask);
                        root.send(
                            sh->leader_of_group(dg), bytes2,
                            [sh, dg, incoming = std::move(incoming)](
@@ -256,7 +270,7 @@ StrategyResult HierStrategy::balance(rt::Runtime& rt,
                              auto& gs2 =
                                  sh->groups[static_cast<std::size_t>(dg)];
                              RankId const lo = sh->group_lo(dg);
-                             for (PlacedTask t : incoming) {
+                             for (PlacedTask t : *incoming) {
                                auto const best = static_cast<std::size_t>(
                                    std::min_element(
                                        gs2.member_loads.begin(),

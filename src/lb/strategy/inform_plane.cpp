@@ -1,6 +1,7 @@
 #include "lb/strategy/inform_plane.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <type_traits>
 
@@ -55,17 +56,17 @@ InformPlane::InformPlane(RankId num_ranks, std::uint64_t root_seed,
   Rng const gossip_root = Rng{root_seed}.split(kGossipStreamTag);
   // Steady-state inform rounds must not allocate, so every capacity is
   // grown to its bound up front: knowledge to P entries (the most any
-  // rank can ever learn), the arena to arena_bound, and one extent per
-  // round. Transient per balance().
+  // rank can ever learn) and the arena to arena_bound. Transient per
+  // balance().
   auto const arena_capacity =
       arena_bound(num_ranks, rounds, wire, max_knowledge);
+  // A forward's length rides in its messages as 32 bits.
+  TLB_EXPECTS(arena_capacity <= std::numeric_limits<std::uint32_t>::max());
   for (RankId r = 0; r < num_ranks; ++r) {
     auto& slot = slots_[static_cast<std::size_t>(r)];
     slot.rng = gossip_root.split(static_cast<std::uint64_t>(r));
     slot.knowledge.reserve(static_cast<std::size_t>(num_ranks));
     slot.arena.reserve(arena_capacity);
-    slot.arena_base = slot.arena.data();
-    slot.sent.resize(static_cast<std::size_t>(rounds) + 1);
     slot.peers.reserve(static_cast<std::size_t>(
         std::min<RankId>(static_cast<RankId>(fanout), num_ranks)));
   }
@@ -129,25 +130,26 @@ void InformPlane::forward(rt::RankContext& ctx, int next_round) {
   }
   slot.hwm = slot.knowledge.version_mark();
   slot.need_full = false;
-  Extent const sent{offset, slot.arena.size() - offset};
-  slot.sent[static_cast<std::size_t>(next_round)] = sent;
-  auto const deliver = [plane = this, src = ctx.rank(),
-                        next_round](rt::RankContext& c) {
-    plane->receive(c, src, next_round);
-  };
-  static_assert(sizeof(deliver) == 16 &&
+  // The receipt reads only these bytes: the arena never reallocates, and
+  // it is rewound only at the next epoch, after quiescence.
+  auto const deliver =
+      [plane = this, payload = slot.arena.data() + offset,
+       length = static_cast<std::uint32_t>(slot.arena.size() - offset),
+       next_round](rt::RankContext& c) {
+        plane->receive(c, payload, length, next_round);
+      };
+  static_assert(sizeof(deliver) == 24 &&
                 std::is_trivially_copyable_v<decltype(deliver)>);
   for (RankId const dest : slot.peers) {
-    ctx.send(dest, sent.length, deliver, rt::MessageKind::gossip);
+    ctx.send(dest, slot.arena.size() - offset, deliver,
+             rt::MessageKind::gossip);
   }
 }
 
-void InformPlane::receive(rt::RankContext& ctx, RankId src, int round) {
+void InformPlane::receive(rt::RankContext& ctx, std::byte const* payload,
+                          std::uint32_t length, int round) {
   auto& slot = slots_[static_cast<std::size_t>(ctx.rank())];
-  Slot const& from = slots_[static_cast<std::size_t>(src)];
-  Extent const sent = from.sent[static_cast<std::size_t>(round)];
-  rt::Unpacker unpacker{
-      std::span<std::byte const>{from.arena_base + sent.offset, sent.length}};
+  rt::Unpacker unpacker{std::span<std::byte const>{payload, length}};
   auto const header_round = unpacker.unpack_varint();
   TLB_ASSERT(header_round == static_cast<std::uint64_t>(round));
   bool const full = unpacker.unpack<std::uint8_t>() != 0;
@@ -155,8 +157,7 @@ void InformPlane::receive(rt::RankContext& ctx, RankId src, int round) {
   TLB_ASSERT(unpacker.exhausted());
   slot.knowledge.truncate_random(max_knowledge_, slot.rng);
   if (report_ != nullptr) {
-    report_->on_gossip_message(round, sent.length, slot.knowledge.size(),
-                               full);
+    report_->on_gossip_message(round, length, slot.knowledge.size(), full);
   }
   if (round < rounds_) {
     std::uint64_t const bit = 1ull << round;

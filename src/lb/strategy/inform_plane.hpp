@@ -31,19 +31,19 @@
 ///    forwarding events, header and payload, back to back into its own
 ///    epoch arena, reserved once to a bound no epoch can exceed (see
 ///    arena_bound in inform_plane.cpp); an arena-mode rt::Packer aborts
-///    rather than reallocate. A message carries only {plane, sender,
-///    round} and the receiver decodes the sender's bytes for that round
-///    straight into its knowledge (Knowledge::merge_packed). The bytes
-///    need no owner count: every epoch ends with run_until_quiescent,
-///    which returns only once nothing is in flight, and reset_epoch
-///    rewinds the arenas only then. After warm-up, inform epochs perform
-///    no heap allocations (pinned by the allocation-counter test).
+///    rather than reallocate. A message carries {plane, payload pointer,
+///    length, round}, 24 bytes, and the receiver decodes those bytes
+///    straight into its knowledge (Knowledge::merge_packed) without
+///    touching the sender's Slot. The bytes need no owner count: every
+///    epoch ends with run_until_quiescent, which returns only once
+///    nothing is in flight, and reset_epoch rewinds the arenas only then.
+///    After warm-up, inform epochs perform no heap allocations (pinned by
+///    the allocation-counter test).
 ///
 /// Thread-confinement: each Slot is mutated only by handlers executing on
-/// its own rank. Other ranks read just a slot's `sent` extent and arena
-/// bytes for one round, and only on receiving the owner's message for that
-/// round, which the owner sends after writing both; the owner never
-/// rewrites them within the epoch.
+/// its own rank. The one cross-rank read is a forward's arena bytes, read
+/// by each receiver of the message that names them. The owner writes them
+/// before sending, and never rewrites them within the epoch.
 
 #include <cstddef>
 #include <cstdint>
@@ -94,23 +94,13 @@ public:
   }
 
 private:
-  /// Where one forwarding event's bytes sit in its sender's arena.
-  struct Extent {
-    std::size_t offset = 0;
-    std::size_t length = 0;
-  };
-
   /// Per-rank protocol state; mutated only by handlers on its own rank.
   struct Slot {
     Knowledge knowledge;
     /// This epoch's forwarding events, header and payload each, back to
-    /// back; reserved once, never reallocated.
+    /// back; reserved once, never reallocated, so a message may point
+    /// into it.
     std::vector<std::byte> arena;
-    /// `arena`'s storage, fixed at construction: receivers on other
-    /// ranks read through it without touching the vector.
-    std::byte const* arena_base = nullptr;
-    /// sent[r]: the round-r forward's bytes (valid once forwarded).
-    std::vector<Extent> sent;
     /// Dedicated gossip RNG (see file comment, property 2).
     Rng rng;
     /// The epoch's fixed peer set (the random f-out overlay); every
@@ -127,8 +117,10 @@ private:
   /// arena, then fan out f messages naming it.
   void forward(rt::RankContext& ctx, int next_round);
 
-  /// Delivery of `src`'s round-`round` forward on the destination rank.
-  void receive(rt::RankContext& ctx, RankId src, int round);
+  /// Delivery of a round-`round` forward on the destination rank:
+  /// `length` bytes at `payload`, in the sender's arena.
+  void receive(rt::RankContext& ctx, std::byte const* payload,
+               std::uint32_t length, int round);
 
   std::vector<Slot> slots_;
   GossipWire wire_;

@@ -1,12 +1,36 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <unordered_map>
 
 #include "obs/json.hpp"
+#include "support/assert.hpp"
 
 namespace tlb::obs {
+
+std::uint32_t StampTable::append(Entry const& entry) {
+  SpinLockGuard lock{lock_};
+  // Slots are 32-bit: one quiescence epoch would need 2^32 stamped sends.
+  TLB_ASSERT(entries_.size() < std::numeric_limits<std::uint32_t>::max());
+  entries_.push_back(entry);
+  return static_cast<std::uint32_t>(entries_.size());
+}
+
+StampTable::Entry StampTable::at(std::uint32_t slot) const {
+  if (slot == 0) {
+    return Entry{};
+  }
+  SpinLockGuard lock{lock_};
+  TLB_ASSERT(slot <= entries_.size());
+  return entries_[slot - 1];
+}
+
+void StampTable::clear() {
+  SpinLockGuard lock{lock_};
+  entries_.clear();
+}
 
 CausalLog& CausalLog::instance() {
   static CausalLog log;

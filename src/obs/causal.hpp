@@ -21,9 +21,11 @@
 /// IS the same logical message, and the reducer treats the first recorded
 /// delivery as authoritative.
 ///
-/// With telemetry runtime-disabled, the only residue on the message paths
-/// is the enabled() load and an empty stamp per envelope (see
-/// bench/micro_causal.cpp).
+/// Stamps do not ride in the envelope. Each rt::Runtime keeps a
+/// StampTable that a stamped send appends to; the envelope carries the
+/// 1-based slot (rt::Envelope::trace). With telemetry runtime-disabled,
+/// the only residue on the message paths is the enabled() load and a zero
+/// slot per envelope (see bench/micro_causal.cpp).
 
 #include <atomic>
 #include <cstdint>
@@ -48,6 +50,34 @@ struct CausalStamp {
   RankId origin = invalid_rank; ///< rank whose root work started the chain
   std::uint32_t step = 0;       ///< LB step/phase active at the chain root
   std::uint16_t hop = 0;        ///< distance from the chain root
+};
+
+/// The causal stamps (and modeled wire sizes) of the stamped messages one
+/// runtime has sent since it last quiesced. Written only while telemetry
+/// is on: a stamped send appends and stores the returned slot in its
+/// envelope, a traced delivery copies its slot's entry out. Any thread may
+/// append or read, so both take the lock; a reader gets a copy because a
+/// concurrent append may reallocate the table. The runtime clears it when
+/// run_until_quiescent returns, when no envelope naming a slot remains.
+class StampTable {
+public:
+  struct Entry {
+    CausalStamp stamp;
+    std::uint64_t bytes = 0; ///< modeled wire size of the message
+  };
+
+  /// Store `entry`; returns its slot, 1-based (0 means unstamped).
+  [[nodiscard]] std::uint32_t append(Entry const& entry) TLB_EXCLUDES(lock_);
+
+  /// A copy of `slot`'s entry; slot 0 yields an empty entry (id 0).
+  [[nodiscard]] Entry at(std::uint32_t slot) const TLB_EXCLUDES(lock_);
+
+  /// Drop every entry, keeping the capacity.
+  void clear() TLB_EXCLUDES(lock_);
+
+private:
+  mutable SpinLock lock_;
+  std::vector<Entry> entries_ TLB_GUARDED_BY(lock_);
 };
 
 /// One delivery, recorded after the handler ran. `kind` must be a string

@@ -1,6 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -8,38 +7,24 @@
 
 namespace tlb::obs {
 
-namespace {
-
-/// -1 = not yet resolved from the environment, 0 = off, 1 = on.
-std::atomic<int> g_state{-1};
-
-int resolve_from_env() {
+int detail::resolve_from_env() {
   char const* const env = std::getenv("TLB_TELEMETRY");
   int const on =
       env != nullptr && std::strcmp(env, "0") != 0 ? 1 : 0;
   int expected = -1;
   // Another thread may have resolved (or set_enabled) concurrently; their
   // value wins.
-  g_state.compare_exchange_strong(expected, on, std::memory_order_relaxed);
-  int const state = g_state.load(std::memory_order_relaxed);
+  telemetry_state.compare_exchange_strong(expected, on,
+                                          std::memory_order_relaxed);
+  int const state = telemetry_state.load(std::memory_order_relaxed);
   if (state == 1) {
     install_flight_recorder();
   }
   return state;
 }
 
-} // namespace
-
-bool enabled() {
-  int const state = g_state.load(std::memory_order_relaxed);
-  if (state >= 0) {
-    return state == 1;
-  }
-  return resolve_from_env() == 1;
-}
-
 void set_enabled(bool on) {
-  g_state.store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::telemetry_state.store(on ? 1 : 0, std::memory_order_relaxed);
   if (on) {
     // Arm the invariant-failure trigger: telemetry on means there is a
     // black box worth dumping when an abort-mode violation fires.

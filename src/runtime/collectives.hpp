@@ -66,6 +66,8 @@ std::vector<T> allreduce(Runtime& rt, std::vector<T> const& contributions,
   std::vector<T> results(static_cast<std::size_t>(p));
 
   // The up-phase send, defined recursively through handler chaining.
+  // Messages capture a pointer to the one Proto below, which lives on
+  // this frame until quiescence: a copy would not fit the envelope.
   struct Proto {
     std::vector<NodeState>* state;
     std::vector<T>* results;
@@ -88,11 +90,10 @@ std::vector<T> allreduce(Runtime& rt, std::vector<T> const& contributions,
         broadcast_down(ctx, node.value);
       } else {
         T value = node.value;
-        Proto proto = *this;
-        ctx.send(detail::tree_parent(r), bytes, [proto, value](
-                                                    RankContext& up) {
-          proto.contribute(up, value);
-        });
+        ctx.send(detail::tree_parent(r), bytes,
+                 [proto = this, value](RankContext& up) {
+                   proto->contribute(up, value);
+                 });
       }
     }
 
@@ -100,30 +101,31 @@ std::vector<T> allreduce(Runtime& rt, std::vector<T> const& contributions,
       auto const r = ctx.rank();
       (*results)[static_cast<std::size_t>(r)] = value;
       (*state)[static_cast<std::size_t>(r)].delivered = 1;
-      Proto proto = *this;
       for (int c = 0; c < 2; ++c) {
         RankId const child = detail::tree_child(r, c);
         if (child < p) {
-          ctx.send(child, bytes, [proto, value](RankContext& down) {
-            proto.broadcast_down(down, value);
+          ctx.send(child, bytes, [proto = this, value](RankContext& down) {
+            proto->broadcast_down(down, value);
           });
         }
       }
     }
   };
 
-  Proto const proto{&state, &results, op, bytes_per_item, p};
-  for (RankId r = 0; r < p; ++r) {
-    T const contribution = contributions[static_cast<std::size_t>(r)];
-    rt.post(r, [proto, contribution](RankContext& ctx) {
-      auto& node = proto.state->at(static_cast<std::size_t>(ctx.rank()));
-      node.value = contribution;
-      node.pending = detail::tree_num_children(ctx.rank(), proto.p) + 1;
-      if (--node.pending == 0) {
-        proto.finish(ctx);
-      }
-    });
-  }
+  Proto const proto_block{&state, &results, op, bytes_per_item, p};
+  // One fan-out post, in which each rank reads its own contribution (its
+  // local data in a distributed run): post_all accounts the P messages in
+  // bulk where P separate posts would each touch the shared counters.
+  rt.post_all([proto = &proto_block,
+               mine = &contributions](RankContext& ctx) {
+    auto const r = static_cast<std::size_t>(ctx.rank());
+    auto& node = proto->state->at(r);
+    node.value = (*mine)[r];
+    node.pending = detail::tree_num_children(ctx.rank(), proto->p) + 1;
+    if (--node.pending == 0) {
+      proto->finish(ctx);
+    }
+  });
   bool const quiesced = rt.run_until_quiescent();
   if (complete != nullptr) {
     bool all_delivered = true;

@@ -36,17 +36,17 @@ class RankContext;
 
 class InlineHandler {
 public:
-  /// Inline closure capacity, sized to the largest hot-path protocol
-  /// closure and no larger: every extra byte here is paid by *every*
-  /// envelope in every mailbox buffer, and the message plane is memory-
-  /// bound at scale (capacity 64 + 8-byte alignment keeps the envelope
-  /// proper at 96 bytes, where a std::max_align_t-aligned buffer would pad
-  /// it by 16; the causal stamp adds 32). Protocol closures are kept under
-  /// this by capturing one shared_ptr to per-run state instead of fat
-  /// value captures (see Shared in gossip_strategy.cpp). A closure that
+  /// Inline closure capacity: what is left of one 64-byte cache line
+  /// after the envelope's 16-byte header and this handler's ops pointer.
+  /// Every extra byte here is paid by *every* envelope in every mailbox
+  /// buffer, and the message plane is memory-bound at scale: a 40-byte
+  /// buffer keeps each envelope on exactly one line. Protocol closures
+  /// are kept under it by capturing one pointer or shared_ptr to per-run
+  /// state instead of fat value captures (see Shared in
+  /// gossip_strategy.cpp, Proto in collectives.hpp). A closure that
   /// outgrows this stops compiling; hoist its fat captures into such a
   /// block rather than raising the capacity.
-  static constexpr std::size_t inline_capacity = 64;
+  static constexpr std::size_t inline_capacity = 40;
 
   /// The storage contract, and the constraint on the converting
   /// constructor. Storage is 8-aligned, not max_align_t-aligned: closures
@@ -130,13 +130,13 @@ private:
     void (*destroy)(char* storage) noexcept;
     /// Copy-construct into `out` (null when the callable is not copyable).
     void (*clone)(char const* storage, InlineHandler& out);
-    /// Trivially relocatable AND at most 16 bytes: moving is a raw copy of
-    /// one fixed 16-byte block and the moved-from object needs no
+    /// Trivially copyable and destructible: moving is a raw copy of the
+    /// whole inline buffer and the moved-from object needs no
     /// destruction. Lets move_from skip the indirect relocate dispatch for
-    /// the stateless / small-POD-capture closures that dominate runtime
-    /// traffic, without touching the rest of the inline buffer (an
-    /// unconditional full-capacity copy costs more in memory traffic than
-    /// the dispatch it saves).
+    /// the stateless / POD-capture closures that dominate runtime traffic
+    /// (the gossip receipt among them). The buffer shares its cache line
+    /// with the rest of the envelope, so copying all of it costs no more
+    /// memory traffic than copying the closure alone.
     bool trivial;
   };
 
@@ -191,16 +191,16 @@ private:
       &destroy_inline<D>,
       std::is_copy_constructible_v<D> ? &clone_inline<D> : nullptr,
       /*trivial=*/std::is_trivially_copyable_v<D> &&
-          std::is_trivially_destructible_v<D> && sizeof(D) <= 16,
+          std::is_trivially_destructible_v<D>,
   };
 
   void move_from(InlineHandler& other) noexcept {
     if (other.ops_ != nullptr) {
       if (other.ops_->trivial) {
         // Fixed-size copy: always inlined, branchless, and cheaper than
-        // an indirect call. 16 bytes is always in-bounds of the inline
-        // buffer, so over-copying past sizeof(D) is safe.
-        std::memcpy(storage_, other.storage_, 16);
+        // an indirect call. Over-copying past sizeof(D) stays inside the
+        // buffer.
+        std::memcpy(storage_, other.storage_, inline_capacity);
       } else {
         other.ops_->relocate(storage_, other.storage_);
       }

@@ -16,9 +16,9 @@
 /// Both stages are vectors, deliberately: the two buffers ping-pong
 /// through the swap, so whatever capacity the backlog ever needed stays
 /// allocated and the steady-state message path performs no heap traffic at
-/// all. (A deque here is pathological — at ~150 bytes per envelope its
-/// fixed-size blocks hold only a few elements, costing a block
-/// malloc/free every couple of messages.)
+/// all. (A deque here is pathological — libstdc++'s 512-byte blocks hold
+/// eight 64-byte envelopes, costing a block malloc/free every eight
+/// messages.)
 ///
 /// Besides the FIFO queue the mailbox carries a small *delay queue*:
 /// messages parked with a due poll count (the rank's drain-visit counter)

@@ -1,20 +1,25 @@
 #pragma once
 
 /// \file message.hpp
-/// The active-message envelope. A message is a type-erased handler that
-/// executes on the destination rank, plus accounting metadata. Payloads
-/// live inside the closure (the in-process analogue of serialization); the
-/// `bytes` field models what serialization would have put on the wire so
-/// network statistics remain meaningful.
+/// The active-message envelope: a type-erased handler that executes on the
+/// destination rank, plus a 16-byte routing header. Payloads live inside
+/// the closure (the in-process analogue of serialization). The modeled
+/// wire size is accounted into NetworkStats at send time and is not
+/// carried.
+///
+/// The envelope is exactly one 64-byte cache line, and 64-aligned, so a
+/// mailbox push, a stash move and a delivery each touch one line. The
+/// causal stamp (obs::CausalStamp, 32 bytes) is not carried either: while
+/// telemetry is on the runtime appends it to a per-Runtime side table
+/// (obs::StampTable) and the envelope keeps only the slot index.
 ///
 /// The handler is an InlineHandler: the closure lives inside the envelope
 /// itself (no per-message heap allocation on the hot paths), which makes
 /// the envelope move-only. Code that needs a real duplicate — the fault
 /// plane's duplicate fault, post_all's fanout — clones explicitly.
 
-#include <cstddef>
+#include <cstdint>
 
-#include "obs/causal.hpp"
 #include "runtime/inline_handler.hpp"
 #include "runtime/network_stats.hpp"
 #include "support/types.hpp"
@@ -27,35 +32,33 @@ class RankContext;
 /// optimized and move-only; see inline_handler.hpp.
 using Handler = InlineHandler;
 
-struct Envelope {
+struct alignas(64) Envelope {
   Envelope() = default;
-  /// Positional construction mirrors the old aggregate layout; the
-  /// trailing causal stamp starts empty and is filled in by the runtime.
-  Envelope(RankId from_, RankId to_, std::size_t bytes_, Handler handler_,
+  Envelope(RankId from_, RankId to_, Handler handler_,
            MessageKind kind_ = MessageKind::other, bool fault_exempt_ = false)
       : from{from_},
         to{to_},
-        bytes{bytes_},
-        handler{std::move(handler_)},
         kind{kind_},
-        fault_exempt{fault_exempt_} {}
+        fault_exempt{fault_exempt_},
+        handler{std::move(handler_)} {}
 
   RankId from = invalid_rank; ///< invalid_rank marks driver-injected work
   RankId to = invalid_rank;
-  std::size_t bytes = 0;      ///< modeled wire size of the payload
-  Handler handler;
+  /// 1-based slot of this message's causal stamp in the runtime's side
+  /// table, assigned at send time while telemetry is on; 0 = unstamped.
+  /// Constructing envelopes outside src/runtime bypasses the stamping
+  /// (and is lint-forbidden: no-envelope-outside-runtime).
+  std::uint32_t trace = 0;
   /// Protocol category, carried so drops/purges can be accounted per kind.
   MessageKind kind = MessageKind::other;
   /// Set on messages the fault plane must leave alone: clones it created
   /// itself (a duplicate must not fission) and protocol-internal retry
   /// triggers injected by the driver.
   bool fault_exempt = false;
-  /// Causal identity (origin rank, LB step, parent span id, hop count),
-  /// stamped by the runtime at send time when telemetry is enabled —
-  /// id == 0 otherwise. Constructing envelopes outside src/runtime
-  /// bypasses the stamping (and is lint-forbidden:
-  /// no-envelope-outside-runtime).
-  obs::CausalStamp cause;
+  Handler handler;
 };
+
+static_assert(sizeof(Envelope) == 64 && alignof(Envelope) == 64,
+              "an envelope is one cache line");
 
 } // namespace tlb::rt

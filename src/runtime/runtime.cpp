@@ -31,9 +31,9 @@ void RankContext::send(RankId to, std::size_t bytes, Handler handler,
   } else {
     rt_->stats_.record_send(to == rank_, bytes, kind);
   }
-  Envelope env{rank_, to, bytes, std::move(handler), kind};
+  Envelope env{rank_, to, std::move(handler), kind};
   if (obs::enabled()) {
-    rt_->stamp_causal(env, rank_, cause_);
+    rt_->stamp_causal(env, rank_, current_cause(), bytes);
   }
   rt_->enqueue(std::move(env), coalescer_);
 }
@@ -62,43 +62,51 @@ Runtime::Runtime(RuntimeConfig config)
 }
 
 void Runtime::stamp_causal(Envelope& env, RankId sender,
-                           obs::CausalStamp const* cause) {
+                           obs::CausalStamp const* cause, std::size_t bytes) {
   auto const slot = sender == invalid_rank
                         ? static_cast<std::size_t>(num_ranks())
                         : static_cast<std::size_t>(sender);
+  obs::StampTable::Entry entry;
+  entry.bytes = bytes;
+  obs::CausalStamp& stamp = entry.stamp;
   // 2^40 ids per sender before collision with the next slot — unreachable
   // (the causal log itself caps out far earlier).
-  env.cause.id = ((static_cast<std::uint64_t>(slot) + 1) << 40) |
-                 ++causal_seq_[slot];
+  stamp.id = ((static_cast<std::uint64_t>(slot) + 1) << 40) |
+             ++causal_seq_[slot];
   if (cause != nullptr && cause->id != 0) {
-    env.cause.parent = cause->id;
-    env.cause.origin = cause->origin;
-    env.cause.step = cause->step;
-    env.cause.hop = static_cast<std::uint16_t>(cause->hop + 1);
+    stamp.parent = cause->id;
+    stamp.origin = cause->origin;
+    stamp.step = cause->step;
+    stamp.hop = static_cast<std::uint16_t>(cause->hop + 1);
   } else {
     // Root message: a driver post (origin = the rank the work lands on)
     // or a handler send whose own delivery predates telemetry being
     // switched on.
-    env.cause.parent = 0;
-    env.cause.origin = sender == invalid_rank ? env.to : sender;
-    env.cause.step = obs::CausalLog::instance().step();
-    env.cause.hop = 0;
+    stamp.parent = 0;
+    stamp.origin = sender == invalid_rank ? env.to : sender;
+    stamp.step = obs::CausalLog::instance().step();
+    stamp.hop = 0;
   }
+  env.trace = stamps_.append(entry);
 }
 
 void Runtime::consume_traced(Envelope& env, RankContext& ctx) {
   obs::Tracer const& tracer = obs::Tracer::instance();
-  ctx.cause_ = &env.cause;
+  // A copy, installed in the context: the handler's own sends append to
+  // the table, which may reallocate it under a reference.
+  auto const entry = stamps_.at(env.trace);
+  ctx.cause_ = entry.stamp;
+  ctx.traced_ = true;
   auto const t0 = tracer.now_us();
   env.handler.consume(ctx);
   auto const t1 = tracer.now_us();
-  ctx.cause_ = nullptr;
+  ctx.traced_ = false;
   obs::CausalEvent event;
-  event.stamp = env.cause;
+  event.stamp = entry.stamp;
   event.from = env.from;
   event.to = env.to;
   event.kind = message_kind_name(env.kind);
-  event.bytes = env.bytes;
+  event.bytes = entry.bytes;
   event.ts_us = t0;
   event.dur_us = t1 - t0;
   obs::CausalLog::instance().record(event);
@@ -108,9 +116,9 @@ void Runtime::post(RankId to, Handler handler, std::size_t bytes,
                    MessageKind kind) {
   TLB_EXPECTS(to >= 0 && to < num_ranks());
   stats_.record_send(false, bytes, kind);
-  Envelope env{invalid_rank, to, bytes, std::move(handler), kind};
+  Envelope env{invalid_rank, to, std::move(handler), kind};
   if (obs::enabled()) {
-    stamp_causal(env, invalid_rank, nullptr);
+    stamp_causal(env, invalid_rank, nullptr, bytes);
   }
   enqueue(std::move(env), nullptr);
 }
@@ -135,9 +143,9 @@ void Runtime::post_all(Handler const& handler) {
   for (RankId r = 0; r < num_ranks(); ++r) {
     local.record_send(false, 0, MessageKind::other);
     auto& mailbox = mailboxes_[static_cast<std::size_t>(r)];
-    Envelope env{invalid_rank, r, 0, handler.clone(), MessageKind::other};
+    Envelope env{invalid_rank, r, handler.clone(), MessageKind::other};
     if (obs::enabled()) {
-      stamp_causal(env, invalid_rank, nullptr);
+      stamp_causal(env, invalid_rank, nullptr, 0);
     }
     auto const depth = consumer ? mailbox.push_consumer(std::move(env))
                                 : mailbox.push(std::move(env));
@@ -153,13 +161,13 @@ void Runtime::post_delayed(RankId to, Handler handler,
                            MessageKind kind) {
   TLB_EXPECTS(to >= 0 && to < num_ranks());
   stats_.record_send(false, bytes, kind);
-  Envelope env{invalid_rank, to, bytes, std::move(handler), kind,
+  Envelope env{invalid_rank, to, std::move(handler), kind,
                /*fault_exempt=*/true};
   if (obs::enabled()) {
     // Retry triggers and other delayed work start fresh causal roots:
     // they model local scheduling, not wire traffic, so the chain they
     // spawn (e.g. a handshake resend) is attributed to the retry itself.
-    stamp_causal(env, invalid_rank, nullptr);
+    stamp_causal(env, invalid_rank, nullptr, bytes);
   }
   if (delay_polls == 0) {
     enqueue_direct(std::move(env), nullptr);
@@ -176,7 +184,7 @@ void Runtime::post_delayed(RankId to, Handler handler,
   delayed_pending_.fetch_add(1, std::memory_order_release);
 }
 
-void Runtime::enqueue(Envelope env, SendCoalescer* coalescer) {
+void Runtime::enqueue(Envelope&& env, SendCoalescer* coalescer) {
   TLB_EXPECTS(env.to >= 0 && env.to < num_ranks());
   if (fault_ != nullptr && !env.fault_exempt) {
     FaultDecision const decision = fault_->on_send(env.from, env.to, env.kind);
@@ -191,12 +199,12 @@ void Runtime::enqueue(Envelope env, SendCoalescer* coalescer) {
       stats_.record_duplicate(env.kind);
       TLB_INSTANT_ARG("fault", "duplicate", "kind",
                       static_cast<int>(env.kind));
-      Envelope clone{env.from, env.to, env.bytes, env.handler.clone(),
-                     env.kind, /*fault_exempt=*/true};
+      Envelope clone{env.from, env.to, env.handler.clone(), env.kind,
+                     /*fault_exempt=*/true};
       // A duplicate IS the same logical message: it shares the original's
-      // causal identity rather than consuming a fresh id, so the causal
-      // graph (and the id sequence later sends observe) is unchanged.
-      clone.cause = env.cause;
+      // stamp slot rather than consuming a fresh id, so the causal graph
+      // (and the id sequence later sends observe) is unchanged.
+      clone.trace = env.trace;
       enqueue_direct(std::move(clone), coalescer);
       break; // the original still delivers below
     }
@@ -453,6 +461,9 @@ bool Runtime::run_until_quiescent(std::size_t max_polls) {
     abort_.store(false, std::memory_order_relaxed);
   }
   TLB_ENSURES(in_flight_.load(std::memory_order_acquire) == 0);
+  // Nothing is in flight, delayed messages included, so no envelope
+  // names a stamp slot any more.
+  stamps_.clear();
   TLB_AUDIT_BLOCK {
     // Termination-counter consistency: the in-flight counter says zero;
     // the independent totals and the mailboxes themselves must agree that

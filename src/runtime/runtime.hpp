@@ -35,6 +35,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/causal.hpp"
 #include "runtime/config.hpp"
 #include "runtime/fault_hook.hpp"
 #include "runtime/mailbox.hpp"
@@ -92,7 +93,7 @@ private:
     std::vector<Envelope> msgs;
   };
 
-  void append(Envelope env) {
+  void append(Envelope&& env) {
     auto& slot = slot_of_dest_[static_cast<std::size_t>(env.to)];
     if (slot == 0) {
       if (used_ == buckets_.size()) {
@@ -144,9 +145,11 @@ public:
 
   /// Causal stamp of the envelope currently being delivered on this
   /// context (null outside a delivery, or when telemetry was off at
-  /// delivery time): the parent for every send the handler performs.
+  /// delivery time): the parent for every send the handler performs. It
+  /// is the context's own copy of the stamp-table entry, so it stays
+  /// valid while the handler's sends append to the table.
   [[nodiscard]] obs::CausalStamp const* current_cause() const {
-    return cause_;
+    return traced_ ? &cause_ : nullptr;
   }
 
 private:
@@ -155,7 +158,8 @@ private:
   Runtime* rt_;
   RankId rank_;
   SendCoalescer* coalescer_;
-  obs::CausalStamp const* cause_ = nullptr;
+  obs::CausalStamp cause_;
+  bool traced_ = false;
 };
 
 class Runtime {
@@ -302,18 +306,21 @@ private:
   /// Assign `env` its causal identity: a fresh deterministic id from the
   /// sender's sequence slot, chained to `cause` (the stamp of the message
   /// whose handler is sending) or rooted at the current LB step when
-  /// there is none. Only called when obs::enabled().
+  /// there is none. The stamp and `bytes` go to the side table and the
+  /// envelope keeps their slot. Only called when obs::enabled().
   void stamp_causal(Envelope& env, RankId sender,
-                    obs::CausalStamp const* cause);
+                    obs::CausalStamp const* cause, std::size_t bytes);
   /// Deliver one envelope with causal context installed and the delivery
   /// recorded into the CausalLog (timestamps from the tracer clock).
   void consume_traced(Envelope& env, RankContext& ctx);
 
-  void enqueue(Envelope env, SendCoalescer* coalescer);
+  /// Route one send through the fault hook (when installed) into
+  /// enqueue_direct. Both take the envelope by reference, so it is only
+  /// ever move-constructed once, into its final slot.
+  void enqueue(Envelope&& env, SendCoalescer* coalescer);
   /// The fault-oblivious tail of enqueue: counts the message in flight,
   /// then buffers it (coalescing path) or pushes it straight into the
-  /// destination mailbox. By reference so the envelope is only ever
-  /// move-constructed once, into its final slot.
+  /// destination mailbox.
   void enqueue_direct(Envelope&& env, SendCoalescer* coalescer);
   /// Push every buffered envelope into its destination mailbox, one
   /// locked batch per dirty destination.
@@ -362,6 +369,10 @@ private:
   /// plain non-atomic counters are race-free and the id assignment is
   /// deterministic under the sequential driver.
   std::vector<std::uint64_t> causal_seq_;
+  /// Causal stamps of the stamped envelopes sent since the last
+  /// quiescence, named by Envelope::trace. Empty unless telemetry is on;
+  /// cleared when run_until_quiescent returns.
+  obs::StampTable stamps_;
 };
 
 } // namespace tlb::rt

@@ -129,7 +129,8 @@ public:
     requires std::is_trivially_copyable_v<T>
   [[nodiscard]] std::vector<T> unpack_vector() {
     auto const n = unpack<std::uint64_t>();
-    TLB_EXPECTS(offset_ + n * sizeof(T) <= bytes_.size());
+    // Divide, don't multiply: a hostile count would wrap n * sizeof(T).
+    TLB_EXPECTS(n <= remaining() / sizeof(T));
     std::vector<T> values(static_cast<std::size_t>(n));
     if (n > 0) {
       std::memcpy(values.data(), bytes_.data() + offset_,
@@ -141,7 +142,7 @@ public:
 
   [[nodiscard]] std::string unpack_string() {
     auto const n = unpack<std::uint64_t>();
-    TLB_EXPECTS(offset_ + n <= bytes_.size());
+    TLB_EXPECTS(n <= remaining()); // offset_ + n could wrap
     std::string value(reinterpret_cast<char const*>(bytes_.data() + offset_),
                       static_cast<std::size_t>(n));
     offset_ += static_cast<std::size_t>(n);

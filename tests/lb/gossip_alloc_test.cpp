@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "../support/alloc_counter.hpp"
 #include "lb/strategy/inform_plane.hpp"
 #include "runtime/runtime.hpp"
@@ -70,6 +73,19 @@ TEST(GossipAllocTest, SteadyStateInformRoundsDoNotAllocate) {
   auto* probe = new int{1};
   EXPECT_GT(stop_counting_allocations(), 0u);
   delete probe;
+}
+
+TEST(GossipAllocTest, CounterSeesAlignedEnvelopeStorage) {
+  // Envelopes are 64-aligned, so their vectors allocate through the
+  // align_val_t operator new. Were that invisible to the counter, the
+  // pins here would miss every mailbox and coalescer growth.
+  std::vector<rt::Envelope> envelopes;
+  start_counting_allocations();
+  envelopes.reserve(16);
+  EXPECT_EQ(stop_counting_allocations(), 1u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(envelopes.data()) %
+                alignof(rt::Envelope),
+            0u);
 }
 
 TEST(GossipAllocTest, FullWireAlsoRunsAllocationFree) {

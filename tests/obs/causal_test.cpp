@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "mini_json.hpp"
@@ -132,6 +134,79 @@ TEST(CausalStamping, SeededRunsProduceIdenticalIdSequences) {
   auto const b = run();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+/// A fan-out relay: each delivery sends kRelayFanout messages on until
+/// its hop budget runs out. It counts the deliveries whose current_cause()
+/// was missing or changed across the handler's own sends; those sends
+/// append to the stamp table, which may move its entries.
+struct Relay {
+  static constexpr int kRelayFanout = 3;
+  std::atomic<int>* unstable;
+  int ttl;
+
+  void operator()(rt::RankContext& ctx) const {
+    CausalStamp const* const cause = ctx.current_cause();
+    if (cause == nullptr) {
+      unstable->fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    CausalStamp const before = *cause;
+    if (ttl > 0) {
+      for (int i = 1; i <= kRelayFanout; ++i) {
+        ctx.send((ctx.rank() + i) % ctx.num_ranks(), 8,
+                 Relay{unstable, ttl - 1});
+      }
+    }
+    CausalStamp const* const after = ctx.current_cause();
+    if (after == nullptr || after->id != before.id ||
+        after->parent != before.parent || after->hop != before.hop ||
+        after->origin != before.origin || after->step != before.step) {
+      unstable->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+};
+
+TEST(CausalStamping, ThreadedFanOutChainsEveryHop) {
+  ScopedTelemetry scoped;
+  CausalLog::instance().set_step(5);
+  constexpr RankId kRanks = 16;
+  constexpr int kTtl = 4;
+  auto cfg = config(kRanks);
+  cfg.num_threads = 4;
+  rt::Runtime rt{cfg};
+  std::atomic<int> unstable{0};
+  rt.post_all(Relay{&unstable, kTtl});
+  ASSERT_TRUE(rt.run_until_quiescent());
+  EXPECT_EQ(unstable.load(), 0);
+
+  // 1 + 3 + 9 + 27 + 81 deliveries per root.
+  auto const events = CausalLog::instance().snapshot();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kRanks) * 121);
+  std::unordered_map<std::uint64_t, CausalEvent> by_id;
+  for (CausalEvent const& e : events) {
+    ASSERT_NE(e.stamp.id, 0u);
+    ASSERT_TRUE(by_id.emplace(e.stamp.id, e).second)
+        << "duplicate id " << e.stamp.id;
+  }
+  std::size_t roots = 0;
+  for (CausalEvent const& e : events) {
+    EXPECT_EQ(e.stamp.step, 5u);
+    if (e.stamp.parent == 0) {
+      ++roots;
+      EXPECT_EQ(e.stamp.hop, 0u);
+      EXPECT_EQ(e.stamp.origin, e.to);
+      continue;
+    }
+    auto const parent = by_id.find(e.stamp.parent);
+    ASSERT_NE(parent, by_id.end()) << "parent of " << e.stamp.id;
+    EXPECT_EQ(e.stamp.hop, parent->second.stamp.hop + 1);
+    EXPECT_EQ(e.stamp.origin, parent->second.stamp.origin);
+    EXPECT_EQ(e.stamp.step, parent->second.stamp.step);
+    EXPECT_EQ(e.from, parent->second.to); // sent by the parent's handler
+    EXPECT_EQ(e.bytes, 8u);
+  }
+  EXPECT_EQ(roots, static_cast<std::size_t>(kRanks));
 }
 
 // ---------------------------------------------------------------------

@@ -7,8 +7,10 @@
 namespace tlb::rt {
 namespace {
 
-Envelope make(int tag) {
-  return Envelope{0, 0, static_cast<std::size_t>(tag), nullptr};
+/// Envelopes are told apart by their sender field.
+Envelope make(int tag) { return Envelope{tag, 0, nullptr}; }
+std::size_t tag_of(Envelope const& env) {
+  return static_cast<std::size_t>(env.from);
 }
 
 TEST(Mailbox, FifoOrder) {
@@ -19,7 +21,7 @@ TEST(Mailbox, FifoOrder) {
   std::vector<Envelope> out;
   EXPECT_EQ(box.pop_batch(out, 0), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].bytes,
+    EXPECT_EQ(tag_of(out[static_cast<std::size_t>(i)]),
               static_cast<std::size_t>(i));
   }
   EXPECT_TRUE(box.empty());
@@ -33,12 +35,12 @@ TEST(Mailbox, BatchLimitRespected) {
   std::vector<Envelope> out;
   EXPECT_EQ(box.pop_batch(out, 3), 3u);
   EXPECT_EQ(box.size(), 7u);
-  EXPECT_EQ(out[0].bytes, 0u);
-  EXPECT_EQ(out[2].bytes, 2u);
+  EXPECT_EQ(tag_of(out[0]), 0u);
+  EXPECT_EQ(tag_of(out[2]), 2u);
   // Appends, does not clear.
   EXPECT_EQ(box.pop_batch(out, 3), 3u);
   ASSERT_EQ(out.size(), 6u);
-  EXPECT_EQ(out[3].bytes, 3u);
+  EXPECT_EQ(tag_of(out[3]), 3u);
 }
 
 TEST(Mailbox, PopFromEmpty) {
@@ -58,7 +60,7 @@ TEST(Mailbox, RandomPopIsPermutation) {
   EXPECT_EQ(box.pop_batch_random(out, 0, rng), 32u);
   std::vector<std::size_t> tags;
   for (auto const& e : out) {
-    tags.push_back(e.bytes);
+    tags.push_back(tag_of(e));
   }
   auto sorted = tags;
   std::sort(sorted.begin(), sorted.end());
@@ -79,7 +81,7 @@ TEST(Mailbox, RandomPopDeterministicPerSeed) {
     box.pop_batch_random(out, 0, rng);
     std::vector<std::size_t> tags;
     for (auto const& e : out) {
-      tags.push_back(e.bytes);
+      tags.push_back(tag_of(e));
     }
     return tags;
   };
@@ -99,7 +101,7 @@ TEST(Mailbox, DelayedMessagesHeldUntilDue) {
   EXPECT_EQ(box.release_due(5), 1u);
   EXPECT_EQ(box.delayed_size(), 0u);
   ASSERT_EQ(box.pop_batch(out, 0), 1u);
-  EXPECT_EQ(out[0].bytes, 7u);
+  EXPECT_EQ(tag_of(out[0]), 7u);
   EXPECT_TRUE(box.empty());
 }
 
@@ -153,9 +155,9 @@ TEST(Mailbox, ConcurrentProducersAllArrive) {
   box.pop_batch(out, 0);
   std::vector<bool> seen(producers * per_producer, false);
   for (auto const& e : out) {
-    ASSERT_LT(e.bytes, seen.size());
-    EXPECT_FALSE(seen[e.bytes]);
-    seen[e.bytes] = true;
+    ASSERT_LT(tag_of(e), seen.size());
+    EXPECT_FALSE(seen[tag_of(e)]);
+    seen[tag_of(e)] = true;
   }
 }
 

@@ -115,8 +115,10 @@ TEST(MessagePlane, BurstFromOneHandlerStaysOrdered) {
 // ---------------------------------------------------------------------------
 // Swap-drain mailbox versus a model FIFO.
 
-Envelope tagged(int tag) {
-  return Envelope{0, 0, static_cast<std::size_t>(tag), nullptr};
+/// Envelopes are told apart by their sender field.
+Envelope tagged(int tag) { return Envelope{tag, 0, nullptr}; }
+std::size_t tag_of(Envelope const& env) {
+  return static_cast<std::size_t>(env.from);
 }
 
 /// Random interleaving of every producer entry point (push, push_batch,
@@ -162,7 +164,7 @@ TEST(MessagePlane, SwapDrainMatchesModelFifo) {
       ASSERT_EQ(popped, expect);
       for (Envelope const& env : out) {
         ASSERT_FALSE(model.empty());
-        EXPECT_EQ(env.bytes, static_cast<std::size_t>(model.front()));
+        EXPECT_EQ(tag_of(env), static_cast<std::size_t>(model.front()));
         model.pop_front();
       }
       break;
@@ -173,7 +175,7 @@ TEST(MessagePlane, SwapDrainMatchesModelFifo) {
   out.clear();
   box.pop_batch(out, 0);
   for (Envelope const& env : out) {
-    EXPECT_EQ(env.bytes, static_cast<std::size_t>(model.front()));
+    EXPECT_EQ(tag_of(env), static_cast<std::size_t>(model.front()));
     model.pop_front();
   }
   EXPECT_TRUE(model.empty());
@@ -186,7 +188,9 @@ TEST(MessagePlane, ConsumeBatchDeliversInFifoOrderWithLimit) {
     box.push_consumer(tagged(i));
   }
   std::vector<std::size_t> seen;
-  auto const record = [&seen](Envelope& env) { seen.push_back(env.bytes); };
+  auto const record = [&seen](Envelope& env) {
+    seen.push_back(tag_of(env));
+  };
   EXPECT_EQ(box.consume_batch(3, 0, false, nullptr, record), 3u);
   EXPECT_EQ(box.size(), 7u);
   EXPECT_EQ(box.consume_batch(0, 0, false, nullptr, record), 7u);
@@ -208,8 +212,8 @@ TEST(MessagePlane, ConsumeBatchDefersSelfSendsToNextVisit) {
   std::vector<std::size_t> first_visit;
   auto const n = box.consume_batch(
       0, 0, false, nullptr, [&box, &first_visit](Envelope& env) {
-        first_visit.push_back(env.bytes);
-        box.push_consumer(tagged(static_cast<int>(env.bytes) + 100));
+        first_visit.push_back(tag_of(env));
+        box.push_consumer(tagged(static_cast<int>(tag_of(env)) + 100));
       });
   EXPECT_EQ(n, 4u);
   ASSERT_EQ(first_visit.size(), 4u);
@@ -218,7 +222,7 @@ TEST(MessagePlane, ConsumeBatchDefersSelfSendsToNextVisit) {
 
   std::vector<std::size_t> second_visit;
   box.consume_batch(0, 0, false, nullptr, [&second_visit](Envelope& env) {
-    second_visit.push_back(env.bytes);
+    second_visit.push_back(tag_of(env));
   });
   ASSERT_EQ(second_visit.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -231,7 +235,9 @@ TEST(MessagePlane, ConsumeBatchReleasesDueDelayedBeforeHandlers) {
   box.push_delayed(tagged(7), /*due=*/5);
   box.push_consumer(tagged(1));
   std::vector<std::size_t> seen;
-  auto const record = [&seen](Envelope& env) { seen.push_back(env.bytes); };
+  auto const record = [&seen](Envelope& env) {
+    seen.push_back(tag_of(env));
+  };
 
   std::size_t released = 0;
   // Visit before the due poll: the delayed message stays parked.
@@ -314,17 +320,18 @@ TEST(MessagePlane, RankPartitioningHandlesIndivisibleCounts) {
 // ---------------------------------------------------------------------------
 // A closure that fills the envelope's inline buffer.
 
-/// inline_capacity bytes, pointer first: a 16-byte move would lose words.
+/// inline_capacity bytes, pointer first: a move that copied less than the
+/// whole buffer would lose words.
 struct FullWidth {
-  std::array<std::uint64_t, 7>* seen; // indexed by the invoking rank
-  std::array<std::uint64_t, 7> words{1, 2, 3, 4, 5, 6, 7};
+  std::array<std::uint64_t, 4>* seen; // indexed by the invoking rank
+  std::array<std::uint64_t, 4> words{1, 2, 3, 4};
   void operator()(RankContext& ctx) { seen[ctx.rank()] = words; }
 };
 static_assert(sizeof(FullWidth) == InlineHandler::inline_capacity);
 
 /// post_all clones once per rank; each copy moves through a mailbox.
 void run_full_buffer(int threads) {
-  std::array<std::array<std::uint64_t, 7>, 8> seen{};
+  std::array<std::array<std::uint64_t, 4>, 8> seen{};
   auto want = seen;
   want.fill(FullWidth{}.words);
   Runtime rt{config(8, threads)};

@@ -97,6 +97,24 @@ TEST(SerializeDeath, TruncatedVectorAborts) {
   EXPECT_DEATH((void)u.unpack_vector<double>(), "precondition");
 }
 
+// Counts whose byte length wraps the bounds arithmetic: offset + n * 4
+// and offset + n come out as 12 and 4, within the buffer, so a check that
+// adds would pass and hand the container a count it throws on.
+TEST(SerializeDeath, WrappingVectorCountAborts) {
+  Packer p;
+  p.pack((std::uint64_t{1} << 62) + 1); // n * 4 wraps to 4
+  p.pack(std::uint32_t{0});
+  Unpacker u{p.bytes()};
+  EXPECT_DEATH((void)u.unpack_vector<std::uint32_t>(), "precondition");
+}
+
+TEST(SerializeDeath, WrappingStringLengthAborts) {
+  Packer p;
+  p.pack(~std::uint64_t{0} - 3); // 8 + n wraps to 4
+  Unpacker u{p.bytes()};
+  EXPECT_DEATH((void)u.unpack_string(), "precondition");
+}
+
 TEST(SerializeVarint, RoundTripsRepresentativeAndBoundaryValues) {
   // Every 7-bit length boundary on both sides, plus interior values.
   std::vector<std::uint64_t> values{0, 1, 100, 127, 128, 300, 16383, 16384,

@@ -2,9 +2,9 @@
 
 /// \file alloc_counter.hpp
 /// Heap-allocation counter for allocation pins. alloc_counter.cpp replaces
-/// the global operator new/delete, which is process-wide: a test that
-/// links it gets a binary of its own, so the override cannot perturb an
-/// allocation-sensitive sibling test.
+/// the global operator new/delete, plain and std::align_val_t alike, which
+/// is process-wide: a test that links it gets a binary of its own, so the
+/// override cannot perturb an allocation-sensitive sibling test.
 
 #include <cstdint>
 
