@@ -2,8 +2,11 @@
 /// M3 — microbenchmarks of the transfer stage (Algorithm 2): one full
 /// pass over candidate tasks under each (criterion, refresh, ordering)
 /// combination, isolating the cost of the paper's algorithmic changes.
-/// The CMF is built at the first candidate and, under recompute, again
-/// after each accepted transfer, so a recompute pass costs
+/// A pass scans the knowledge once at its start and, under recompute,
+/// once after each accepted transfer; candidates the criterion rejects
+/// even at the lowest known load skip the CMF. The CMF is built at the
+/// first other candidate and, under recompute, at the first one after
+/// each accepted transfer, so a recompute pass costs at most
 /// O((1 + accepted) x |S^p|) on top of the candidate loop.
 
 #include <benchmark/benchmark.h>

@@ -109,6 +109,12 @@ public:
     sort_by_rank();
     return entries_;
   }
+  /// Every entry in storage order, which is unspecified: for a reader
+  /// whose result does not depend on order (a minimum, a maximum), so it
+  /// skips the sort entries() may do.
+  [[nodiscard]] std::span<KnownRank const> unordered_entries() const {
+    return entries_;
+  }
 
   /// Forget everything: entries, version counter, truncation flag.
   /// Capacity is retained, so a cleared-and-refilled knowledge allocates

@@ -27,9 +27,10 @@ struct TransferResult {
   /// Candidates skipped because no sampleable recipient existed.
   std::size_t no_target = 0;
   /// O(n) CMF constructions this pass (observability for the §V-A
-  /// change-#3 cost claim): 1 for build_once; for recompute, 1 plus one
-  /// per accepted transfer that another candidate followed. 0 when the
-  /// loop tried no candidate.
+  /// change-#3 cost claim). A CMF is built only for a candidate that is
+  /// not certified rejected (see run_transfer) while some rank is
+  /// sampleable: at the first such candidate of the pass and, under
+  /// recompute, at the first such candidate after each accepted transfer.
   std::size_t cmf_rebuilds = 0;
   /// This rank's load after the proposed (speculative) transfers.
   LoadType final_load = 0.0;
@@ -37,12 +38,20 @@ struct TransferResult {
 
 /// Run the transfer stage for rank `self`.
 ///
+/// A candidate that the criterion rejects even against the lowest known
+/// non-self load is *certified rejected*: every rank the CMF could draw
+/// would reject it too, so it skips the CMF and advances `rng` by the one
+/// draw the sample would take. Decisions, counters other than
+/// cmf_rebuilds, and the state of `rng` equal Algorithm 2's literal loop.
+///
 /// \param params    Algorithm variant and threshold h.
 /// \param self      This rank's id (never chosen as a recipient).
 /// \param tasks     T^p, the rank's current tasks with loads.
 /// \param l_p       The rank's current load; must equal the sum of task
 ///                  loads plus any unmigratable background load.
 /// \param l_ave     Global average rank load from the statistics reduction.
+///                  Every task load, known load, l_p and l_ave must be
+///                  finite and non-negative (checked; a violation aborts).
 /// \param knowledge LOAD^p() gathered in the inform stage. Updated in
 ///                  place as transfers are accepted (line 12), so callers
 ///                  running iterative refinement carry the speculative

@@ -121,15 +121,27 @@ double PicApp::particle_phase(std::vector<double>& rank_work) {
 
 void PicApp::exchange(StepMetrics& metrics) {
   // Rebin particles whose push moved them out of their color's sub-block.
+  // A particle still inside its color's cell rectangle stays without a
+  // color lookup; any other takes color_of_position (and its clamp).
   // Index loop with remove_swap: on a move, the swapped-in particle takes
   // slot i, so i is not advanced.
   for (ColorId c = 0; c < mesh_.num_colors(); ++c) {
     Particles& particles = chunk(c).particles();
     RankId const owner = store_.owner(c);
+    CellRect const cells = mesh_.color_cells(c);
+    double const x0 = cells.x0;
+    double const x1 = cells.x1;
+    double const y0 = cells.y0;
+    double const y1 = cells.y1;
     std::size_t i = 0;
     while (i < particles.size()) {
-      ColorId const target =
-          mesh_.color_of_position(particles.x(i), particles.y(i));
+      double const x = particles.x(i);
+      double const y = particles.y(i);
+      if (x >= x0 && x < x1 && y >= y0 && y < y1) {
+        ++i;
+        continue;
+      }
+      ColorId const target = mesh_.color_of_position(x, y);
       if (target == c) {
         ++i;
         continue;

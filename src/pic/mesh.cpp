@@ -62,22 +62,24 @@ ColorId Mesh::color_of_position(double x, double y) const {
   return color_of_cell(cx, cy);
 }
 
-std::pair<double, double> Mesh::color_center(ColorId color) const {
+CellRect Mesh::color_cells(ColorId color) const {
   TLB_EXPECTS(color >= 0 && color < num_colors());
   int const per_rank = colors_per_rank();
   int const rank = static_cast<int>(color) / per_rank;
   int const local = static_cast<int>(color) % per_rank;
-  int const rx = rank % config_.ranks_x;
-  int const ry = rank / config_.ranks_x;
-  int const lx = local % config_.colors_x;
-  int const ly = local / config_.colors_x;
-  double const x0 =
-      static_cast<double>(rx) * config_.colors_x * config_.color_cells_x +
-      static_cast<double>(lx) * config_.color_cells_x;
-  double const y0 =
-      static_cast<double>(ry) * config_.colors_y * config_.color_cells_y +
-      static_cast<double>(ly) * config_.color_cells_y;
-  return {x0 + 0.5 * config_.color_cells_x, y0 + 0.5 * config_.color_cells_y};
+  int const x0 =
+      ((rank % config_.ranks_x) * config_.colors_x + local % config_.colors_x) *
+      config_.color_cells_x;
+  int const y0 =
+      ((rank / config_.ranks_x) * config_.colors_y + local / config_.colors_x) *
+      config_.color_cells_y;
+  return {x0, y0, x0 + config_.color_cells_x, y0 + config_.color_cells_y};
+}
+
+std::pair<double, double> Mesh::color_center(ColorId color) const {
+  CellRect const cells = color_cells(color);
+  return {cells.x0 + 0.5 * config_.color_cells_x,
+          cells.y0 + 0.5 * config_.color_cells_y};
 }
 
 } // namespace tlb::pic

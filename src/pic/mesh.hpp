@@ -25,6 +25,14 @@ struct MeshConfig {
   int color_cells_y = 4;  ///< cells per color, y
 };
 
+/// A half-open rectangle of cells, [x0, x1) x [y0, y1).
+struct CellRect {
+  int x0 = 0;
+  int y0 = 0;
+  int x1 = 0;
+  int y1 = 0;
+};
+
 /// Immutable mesh geometry and decomposition arithmetic.
 class Mesh {
 public:
@@ -57,6 +65,12 @@ public:
 
   /// Color owning a continuous position (clamped to the domain).
   [[nodiscard]] ColorId color_of_position(double x, double y) const;
+
+  /// The cells a color owns: color_of_cell(cx, cy) == color exactly for
+  /// the cells of this rectangle. Since cells are 1.0 wide, a position
+  /// inside the domain lies in the color iff x0 <= x < x1 and
+  /// y0 <= y < y1.
+  [[nodiscard]] CellRect color_cells(ColorId color) const;
 
   /// Center position of a color's sub-block (for diagnostics).
   [[nodiscard]] std::pair<double, double> color_center(ColorId color) const;

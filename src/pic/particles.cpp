@@ -1,6 +1,8 @@
 #include "pic/particles.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "support/assert.hpp"
 
@@ -39,15 +41,42 @@ void reflect(double& p, double& v, double limit) {
   }
 }
 
+/// Bit 63 is set when `p` may lie outside [0, limit): p < 0 sets p's sign
+/// bit, and p >= limit leaves the sign bit of p − limit clear (p − limit
+/// is negative for every p < limit, since doubles underflow gradually).
+/// Branch-free, so the loop that ORs it vectorizes. Its false alarms,
+/// p = −0.0 and NaN, only run reflect(), which leaves such a p alone.
+std::uint64_t outside_bit(double p, double limit) {
+  return std::bit_cast<std::uint64_t>(p) |
+         ~std::bit_cast<std::uint64_t>(p - limit);
+}
+
 } // namespace
 
 void Particles::push(double dt, double lx, double ly) {
   TLB_EXPECTS(lx > 0.0 && ly > 0.0);
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    x_[i] += vx_[i] * dt;
-    y_[i] += vy_[i] * dt;
-    reflect(x_[i], vx_[i], lx);
-    reflect(y_[i], vy_[i], ly);
+  std::size_t const n = x_.size();
+  double* const x = x_.data();
+  double* const y = y_.data();
+  double* const vx = vx_.data();
+  double* const vy = vy_.data();
+  // Update pass: branch-free SoA arithmetic, which vectorizes. It also
+  // notes whether any particle left [0, lx) x [0, ly).
+  std::uint64_t outside = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] += vx[i] * dt;
+    y[i] += vy[i] * dt;
+    outside |= outside_bit(x[i], lx) | outside_bit(y[i], ly);
+  }
+  if ((outside >> 63) == 0) {
+    return;
+  }
+  // Reflect pass: reflect() reads and writes only its own coordinate and
+  // velocity, so reflecting after every update gives the results of one
+  // update-then-reflect loop bit for bit.
+  for (std::size_t i = 0; i < n; ++i) {
+    reflect(x[i], vx[i], lx);
+    reflect(y[i], vy[i], ly);
   }
 }
 

@@ -30,11 +30,15 @@ public:
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
   result_type operator()() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
   }
+
+  /// Advance the stream past `n` draws of operator() in O(1): each draw
+  /// adds one golden-ratio increment to the state, modulo 2^64.
+  void discard(std::uint64_t n) { state_ += n * kGamma; }
 
   /// Derive an independent stream, e.g. per rank or per trial. Mixing the
   /// tag through one generator step decorrelates nearby tags.
@@ -106,6 +110,7 @@ public:
   }
 
 private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
   std::uint64_t state_ = 0x853c49e6748fea9bull;
 };
 

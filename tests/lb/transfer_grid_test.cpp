@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "lb/cmf.hpp"
 #include "lb/criterion.hpp"
@@ -27,11 +29,12 @@ struct RankState {
   Knowledge knowledge;
 };
 
-/// The 20 random overloaded-rank states each variant is checked on.
+/// 20 random overloaded-rank states, then 20 near-balanced ones.
 std::vector<RankState> random_states(std::uint64_t seed) {
   Rng workload_rng{seed * 7919 + 13};
-  std::vector<RankState> states(20);
-  for (RankState& st : states) {
+  std::vector<RankState> states(40);
+  for (std::size_t s = 0; s < 20; ++s) {
+    RankState& st = states[s];
     auto const n = 1 + workload_rng.index(60);
     for (std::size_t i = 0; i < n; ++i) {
       double const load = workload_rng.uniform(0.05, 2.0);
@@ -45,38 +48,84 @@ std::vector<RankState> random_states(std::uint64_t seed) {
                           workload_rng.uniform(0.0, 1.5 * st.l_ave));
     }
   }
+  // The bdot-lbheavy regime: l_p just above l_ave, tasks heavier than the
+  // excess l_p − l_ave, and peers known at loads close to l_ave, so most
+  // candidates are certified rejected.
+  for (std::size_t s = 20; s < 40; ++s) {
+    RankState& st = states[s];
+    auto const n = 1 + workload_rng.index(24);
+    for (std::size_t i = 0; i < n; ++i) {
+      double const load = workload_rng.uniform(0.02, 0.06);
+      st.tasks.push_back({static_cast<TaskId>(i), load});
+      st.l_p += load;
+    }
+    st.l_ave = st.l_p / workload_rng.uniform(1.001, 1.03);
+    auto const peers = 1 + workload_rng.index(40);
+    for (std::size_t i = 0; i < peers; ++i) {
+      st.knowledge.insert(static_cast<RankId>(i + 1),
+                          st.l_ave * workload_rng.uniform(0.97, 1.01));
+    }
+  }
   return states;
 }
 
+/// The lowest load known for a rank other than `self` (+inf if none).
+LoadType lowest_known(Knowledge const& knowledge, RankId self) {
+  LoadType lo = std::numeric_limits<LoadType>::infinity();
+  for (KnownRank const& e : knowledge.entries()) {
+    if (e.rank != self) {
+      lo = std::min(lo, e.load);
+    }
+  }
+  return lo;
+}
+
+struct Reference {
+  TransferResult result;
+  /// Candidates with a sampleable rank that the criterion rejects even at
+  /// the lowest known load.
+  std::size_t certified = 0;
+};
+
 /// Algorithm 2 as the paper writes it: under recompute the CMF is built
 /// before every candidate (line 7), under build_once once before the loop
-/// (line 5). Its cmf_rebuilds is the count run_transfer must report: the
-/// first build plus, under recompute, one per accepted transfer that
-/// another candidate followed.
-TransferResult reference_transfer(LbParams const& p, RankId self,
-                                  std::vector<TaskEntry> const& tasks,
-                                  LoadType l_p, LoadType l_ave,
-                                  Knowledge& knowledge, Rng& rng) {
-  TransferResult r;
+/// (line 5). Its cmf_rebuilds is the count run_transfer must report. A
+/// candidate is *certified* when its CMF is not empty and the criterion
+/// rejects it at the lowest non-self load of the knowledge that CMF is
+/// built from. A build counts at the first uncertified candidate with a
+/// non-empty CMF after the start of the pass and, under recompute, after
+/// each accepted transfer.
+Reference reference_transfer(LbParams const& p, RankId self,
+                             std::vector<TaskEntry> const& tasks,
+                             LoadType l_p, LoadType l_ave,
+                             Knowledge& knowledge, Rng& rng) {
+  Reference ref;
+  TransferResult& r = ref.result;
   r.final_load = l_p;
   std::vector<TaskEntry> const order = order_tasks(p.order, tasks, l_ave, l_p);
   std::optional<Cmf> cmf;
+  LoadType lo = lowest_known(knowledge, self);
   if (p.refresh == CmfRefresh::build_once) {
     cmf.emplace(p.cmf, knowledge.entries(), l_ave, self);
   }
-  std::size_t accepted_then_followed = 0;
-  bool last_accepted = false;
+  bool built = false; // since the pass started or the last acceptance
   for (std::size_t n = 0;
        r.final_load > p.threshold * l_ave && n < order.size(); ++n) {
     TaskEntry const& candidate = order[n];
-    accepted_then_followed += last_accepted ? 1 : 0;
-    last_accepted = false;
     if (p.refresh == CmfRefresh::recompute) {
       cmf.emplace(p.cmf, knowledge.entries(), l_ave, self);
+      lo = lowest_known(knowledge, self);
     }
     if (cmf->empty()) {
       ++r.no_target;
       continue;
+    }
+    if (!evaluate_criterion(p.criterion, lo, candidate.load, l_ave,
+                            r.final_load)) {
+      ++ref.certified;
+    } else if (!built) {
+      ++r.cmf_rebuilds;
+      built = true;
     }
     RankId const target = cmf->sample(rng);
     LoadType const l_x = knowledge.load_of(target);
@@ -86,15 +135,12 @@ TransferResult reference_transfer(LbParams const& p, RankId self,
       r.final_load -= candidate.load;
       r.migrations.push_back({candidate.id, self, target, candidate.load});
       ++r.accepted;
-      last_accepted = true;
+      built = built && p.refresh == CmfRefresh::build_once;
     } else {
       ++r.rejected;
     }
   }
-  r.cmf_rebuilds = p.refresh == CmfRefresh::recompute
-                       ? 1 + accepted_then_followed
-                       : 1;
-  return r;
+  return ref;
 }
 
 using GridParam =
@@ -168,11 +214,14 @@ TEST_P(TransferGrid, StructuralInvariants) {
 }
 
 TEST_P(TransferGrid, MatchesPerCandidateRebuild) {
-  // run_transfer rebuilds the CMF only after an accepted transfer; the
-  // decisions must equal the literal per-candidate rebuild's bit for bit.
+  // run_transfer skips certified candidates and rebuilds the CMF only
+  // after an accepted transfer; the decisions, the build count and the
+  // RNG state must equal the literal per-candidate rebuild's bit for bit.
   auto const p = params();
   auto const states = random_states(std::get<4>(GetParam()));
 
+  std::size_t near_balanced_tried = 0;
+  std::size_t near_balanced_certified = 0;
   for (std::size_t instance = 0; instance < states.size(); ++instance) {
     auto const& st = states[instance];
     Knowledge knowledge = st.knowledge;
@@ -182,7 +231,7 @@ TEST_P(TransferGrid, MatchesPerCandidateRebuild) {
 
     auto const result = run_transfer(p, /*self=*/0, st.tasks, st.l_p,
                                      st.l_ave, knowledge, rng);
-    auto const reference =
+    auto const [reference, certified] =
         reference_transfer(p, /*self=*/0, st.tasks, st.l_p, st.l_ave,
                            reference_knowledge, reference_rng);
 
@@ -195,7 +244,19 @@ TEST_P(TransferGrid, MatchesPerCandidateRebuild) {
     EXPECT_TRUE(std::ranges::equal(knowledge.entries(),
                                    reference_knowledge.entries()))
         << instance;
+    EXPECT_EQ(rng(), reference_rng()) << instance;
+    if (instance >= 20) {
+      near_balanced_tried +=
+          reference.accepted + reference.rejected + reference.no_target;
+      near_balanced_certified += certified;
+    }
   }
+  // The near-balanced states exercise the certificate: most of their
+  // candidates are certified (--gtest_output=json reports the counts).
+  EXPECT_GT(2 * near_balanced_certified, near_balanced_tried);
+  RecordProperty("near_balanced_certified",
+                 std::to_string(near_balanced_certified));
+  RecordProperty("near_balanced_tried", std::to_string(near_balanced_tried));
 }
 
 TEST_P(TransferGrid, DeterministicGivenSeed) {

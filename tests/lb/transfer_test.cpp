@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "support/rng.hpp"
@@ -190,6 +191,47 @@ TEST(Transfer, BuildOnceUsesStaleCmfButFreshLoadMap) {
   // task (0+1<2 yes; 1+1<2 no).
   EXPECT_EQ(r.accepted, 1u);
   EXPECT_DOUBLE_EQ(knowledge.load_of(1), 1.0);
+}
+
+// The certificate that skips a candidate's CMF is exact only over finite,
+// non-negative loads, so run_transfer rejects any other load up front.
+TEST(TransferDeath, NanTaskLoadAborts) {
+  auto const tasks =
+      make_tasks({1.0, std::numeric_limits<double>::quiet_NaN()});
+  auto knowledge = make_knowledge({{1, 0.0}});
+  Rng rng{1};
+  EXPECT_DEATH((void)run_transfer(tempered_single(), 0, tasks, 2.0, 1.0,
+                                  knowledge, rng),
+               "precondition");
+}
+
+TEST(TransferDeath, NegativeTaskLoadAborts) {
+  auto const tasks = make_tasks({3.0, -1.0});
+  auto knowledge = make_knowledge({{1, 0.0}});
+  Rng rng{1};
+  EXPECT_DEATH((void)run_transfer(tempered_single(), 0, tasks, 2.0, 1.0,
+                                  knowledge, rng),
+               "precondition");
+}
+
+TEST(TransferDeath, InfiniteKnowledgeLoadAborts) {
+  auto const tasks = make_tasks({1.0, 1.0});
+  auto knowledge = make_knowledge(
+      {{1, 0.0}, {2, std::numeric_limits<double>::infinity()}});
+  Rng rng{1};
+  EXPECT_DEATH((void)run_transfer(tempered_single(), 0, tasks, 2.0, 1.0,
+                                  knowledge, rng),
+               "precondition");
+}
+
+TEST(TransferDeath, NanAverageLoadAborts) {
+  auto const tasks = make_tasks({1.0, 1.0});
+  auto knowledge = make_knowledge({{1, 0.0}});
+  Rng rng{1};
+  EXPECT_DEATH((void)run_transfer(tempered_single(), 0, tasks, 2.0,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  knowledge, rng),
+               "precondition");
 }
 
 } // namespace

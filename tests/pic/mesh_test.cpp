@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <vector>
 
 namespace tlb::pic {
 namespace {
@@ -83,6 +85,62 @@ TEST(Mesh, PositionMappingMatchesCellMapping) {
   EXPECT_EQ(mesh.color_of_position(-3.0, -3.0), mesh.color_of_cell(0, 0));
   EXPECT_EQ(mesh.color_of_position(1e9, 1e9),
             mesh.color_of_cell(mesh.cells_x() - 1, mesh.cells_y() - 1));
+}
+
+TEST(Mesh, ColorCellsAreExactlyTheCellsOfTheColor) {
+  // Exhaustive over cells, on meshes with 1 x 1-cell colors and with
+  // non-square colors, color blocks and rank grids.
+  std::vector<MeshConfig> const configs{
+      small_config(),
+      {.ranks_x = 3, .ranks_y = 2, .colors_x = 2, .colors_y = 3,
+       .color_cells_x = 1, .color_cells_y = 1},
+      {.ranks_x = 1, .ranks_y = 3, .colors_x = 4, .colors_y = 1,
+       .color_cells_x = 3, .color_cells_y = 2},
+      {.ranks_x = 2, .ranks_y = 1, .colors_x = 1, .colors_y = 2,
+       .color_cells_x = 1, .color_cells_y = 4},
+  };
+  for (MeshConfig const& cfg : configs) {
+    Mesh const mesh{cfg};
+    for (ColorId c = 0; c < mesh.num_colors(); ++c) {
+      CellRect const r = mesh.color_cells(c);
+      EXPECT_EQ(r.x1 - r.x0, cfg.color_cells_x);
+      EXPECT_EQ(r.y1 - r.y0, cfg.color_cells_y);
+      for (int cy = 0; cy < mesh.cells_y(); ++cy) {
+        for (int cx = 0; cx < mesh.cells_x(); ++cx) {
+          bool const inside =
+              cx >= r.x0 && cx < r.x1 && cy >= r.y0 && cy < r.y1;
+          ASSERT_EQ(mesh.color_of_cell(cx, cy) == c, inside)
+              << "color " << c << " cell (" << cx << ", " << cy << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(Mesh, PositionInColorCellsIffPositionMapsToColor) {
+  // The half-open rectangle test PicApp::exchange makes per particle, at
+  // both edges of every cell: x0 <= x < x1 exactly when floor(x) is one
+  // of the color's columns.
+  Mesh const mesh{small_config()};
+  for (ColorId c = 0; c < mesh.num_colors(); ++c) {
+    CellRect const r = mesh.color_cells(c);
+    for (int cy = 0; cy < mesh.cells_y(); ++cy) {
+      for (int cx = 0; cx < mesh.cells_x(); ++cx) {
+        double const xs[] = {static_cast<double>(cx),
+                             std::nextafter(cx + 1.0, 0.0)};
+        double const ys[] = {static_cast<double>(cy),
+                             std::nextafter(cy + 1.0, 0.0)};
+        for (double const x : xs) {
+          for (double const y : ys) {
+            bool const inside = x >= r.x0 && x < r.x1 && y >= r.y0 &&
+                                y < r.y1;
+            ASSERT_EQ(mesh.color_of_position(x, y) == c, inside)
+                << "color " << c << " at (" << x << ", " << y << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Mesh, ColorCenterInsideColor) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "support/rng.hpp"
 
 namespace tlb::pic {
@@ -58,6 +63,101 @@ TEST(Particles, StaysInDomainUnderLongRandomPush) {
       ASSERT_LT(p.y(i), 10.0);
     }
   }
+}
+
+struct Scalar {
+  double x, y, vx, vy;
+};
+
+/// The per-particle push: advance one particle, then reflect each
+/// coordinate until it lies in [0, limit).
+void reference_reflect(double& p, double& v, double limit) {
+  while (p < 0.0 || p >= limit) {
+    if (p < 0.0) {
+      p = -p;
+      v = -v;
+    } else {
+      p = 2.0 * limit - p;
+      v = -v;
+      if (p >= limit) {
+        p = std::nextafter(limit, 0.0);
+      }
+    }
+  }
+}
+
+void reference_push(std::vector<Scalar>& ps, double dt, double lx,
+                    double ly) {
+  for (Scalar& p : ps) {
+    p.x += p.vx * dt;
+    p.y += p.vy * dt;
+    reference_reflect(p.x, p.vx, lx);
+    reference_reflect(p.y, p.vy, ly);
+  }
+}
+
+/// Push `ps` through Particles and through the reference for `steps`
+/// steps, and require the same bits in every field.
+void expect_push_matches_reference(std::vector<Scalar> ps, double dt,
+                                   double lx, double ly, int steps) {
+  Particles p;
+  for (Scalar const& s : ps) {
+    p.add(s.x, s.y, s.vx, s.vy);
+  }
+  auto const bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (int step = 0; step < steps; ++step) {
+    p.push(dt, lx, ly);
+    reference_push(ps, dt, lx, ly);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      ASSERT_EQ(bits(p.x(i)), bits(ps[i].x)) << "step " << step << " #" << i;
+      ASSERT_EQ(bits(p.y(i)), bits(ps[i].y)) << "step " << step << " #" << i;
+      ASSERT_EQ(bits(p.vx(i)), bits(ps[i].vx)) << "step " << step;
+      ASSERT_EQ(bits(p.vy(i)), bits(ps[i].vy)) << "step " << step;
+    }
+  }
+}
+
+TEST(Particles, PushMatchesPerParticleReferenceBitForBit) {
+  // Seeded particles whose steps reach 5 domain widths: most bounce at
+  // least once, many several times (|v·dt| > 2·domain).
+  Rng rng{0x5eed};
+  double const lx = 24.0;
+  double const ly = 10.0;
+  std::vector<Scalar> ps;
+  for (int i = 0; i < 300; ++i) {
+    ps.push_back({rng.uniform(0.0, lx), rng.uniform(0.0, ly),
+                  rng.uniform(-5.0 * lx, 5.0 * lx),
+                  rng.uniform(-5.0 * ly, 5.0 * ly)});
+  }
+  expect_push_matches_reference(ps, 1.0, lx, ly, 20);
+  expect_push_matches_reference(ps, 0.37, lx, ly, 20);
+}
+
+TEST(Particles, PushMatchesReferenceOnExactBoundaryLandings) {
+  // Landings exactly on the limit (the nextafter guard), on 0, on 2·limit
+  // and on −limit, and a −0.0 that stays −0.0.
+  double const lx = 8.0;
+  double const ly = 4.0;
+  std::vector<Scalar> const ps{
+      {7.0, 1.0, 1.0, 0.0},   // x lands on lx
+      {1.0, 3.0, 0.0, 1.0},   // y lands on ly
+      {1.0, 1.0, -1.0, -1.0}, // both land on 0
+      {4.0, 2.0, 12.0, 6.0},  // both land on 2·limit
+      {2.0, 1.0, -10.0, -5.0}, // both land on −limit
+      {-0.0, 2.0, -0.0, 0.0}, // −0.0 in range
+  };
+  expect_push_matches_reference(ps, 1.0, lx, ly, 3);
+}
+
+TEST(Particles, PushWithNoParticleLeavingTheDomain) {
+  // Every particle stays inside, so the reflect pass never runs.
+  Rng rng{77};
+  std::vector<Scalar> ps;
+  for (int i = 0; i < 64; ++i) {
+    ps.push_back({rng.uniform(10.0, 11.0), rng.uniform(10.0, 11.0),
+                  rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+  }
+  expect_push_matches_reference(ps, 1.0, 100.0, 100.0, 5);
 }
 
 TEST(Particles, RemoveSwapKeepsOthers) {

@@ -47,6 +47,33 @@ TEST(Rng, SplitDoesNotAdvanceParent) {
   EXPECT_EQ(a(), b());
 }
 
+TEST(Rng, DiscardSkipsExactlyNDraws) {
+  for (std::uint64_t const n : {0ull, 1ull, 2ull, 63ull, 1000ull}) {
+    Rng stepped{0xd15c};
+    Rng skipped = stepped;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)stepped();
+    }
+    skipped.discard(n);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(skipped(), stepped()) << "n = " << n;
+    }
+  }
+}
+
+TEST(Rng, DiscardWrapsModuloTwoToTheSixtyFour) {
+  // n·γ wraps: 2^64 − 1 skipped draws plus one drawn is a full period,
+  // which leaves the stream where it started.
+  Rng wrapped{42};
+  Rng const start = wrapped;
+  wrapped.discard(~std::uint64_t{0});
+  (void)wrapped();
+  Rng fresh = start;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(wrapped(), fresh());
+  }
+}
+
 TEST(Rng, UniformBelowRespectsBound) {
   Rng rng{123};
   for (std::uint64_t bound : {1ull, 2ull, 3ull, 17ull, 1000ull}) {
