@@ -81,7 +81,7 @@ void BM_KnowledgeMerge(benchmark::State& state) {
   delta.insert(static_cast<RankId>(n / 3), 0.5);
   delta.insert(static_cast<RankId>(n + 7), 0.25);
   rt::Packer packer;
-  delta.pack_full(packer);
+  delta.pack(packer, true);
   auto const bytes = packer.bytes();
   for (auto _ : state) {
     rt::Unpacker unpacker{bytes};

@@ -1,8 +1,8 @@
 /// \file micro_runtime.cpp
 /// M4 — microbenchmarks of the AMT runtime substrate: active-message
 /// throughput (sequential and threaded, plus a rank-count sweep at the
-/// paper's scales), allreduce latency versus rank count,
-/// termination-detection wave overhead, and object-migration throughput.
+/// paper's scales), allreduce latency versus rank count, and
+/// object-migration throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "runtime/collectives.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/termination.hpp"
 
 namespace {
 
@@ -83,24 +82,6 @@ void BM_AllreduceLatency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllreduceLatency)->RangeMultiplier(4)->Range(16, 4096)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_TerminationWaves(benchmark::State& state) {
-  auto const p = static_cast<RankId>(state.range(0));
-  for (auto _ : state) {
-    Runtime rt{config(p, 1)};
-    TerminationDetector det{rt};
-    det.post(0, [&det](RankContext& ctx) {
-      for (RankId r = 0; r < ctx.num_ranks(); ++r) {
-        det.send(ctx, r, 8, [](RankContext&) {});
-      }
-    });
-    det.start();
-    rt.run_until_quiescent();
-    benchmark::DoNotOptimize(det.terminated());
-  }
-}
-BENCHMARK(BM_TerminationWaves)->Arg(16)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 class Blob final : public Migratable {

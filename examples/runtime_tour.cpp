@@ -1,8 +1,7 @@
 /// \file runtime_tour.cpp
 /// A tour of the AMT runtime substrate on its own: active messages,
-/// quiescence, tree collectives, Mattern termination detection, and
-/// object migration — the primitives every load-balancing strategy in
-/// this library is built from.
+/// quiescence, tree collectives and object migration — the primitives
+/// every load-balancing strategy in this library is built from.
 ///
 /// Usage: runtime_tour [--ranks=16] [--threads=1]
 
@@ -13,7 +12,6 @@
 #include "runtime/collectives.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/termination.hpp"
 #include "support/config.hpp"
 
 namespace {
@@ -63,39 +61,13 @@ int main(int argc, char** argv) {
             << " over " << stat.count << " ranks ("
             << runtime.stats().messages << " messages so far)\n";
 
-  // 3. Termination detection: certify a random fan-out cascade with
-  // Mattern counting waves made of real control messages.
-  rt::TerminationDetector detector{runtime};
-  std::atomic<int> cascade{0};
-  std::function<void(rt::RankContext&, int)> spawn =
-      [&](rt::RankContext& ctx, int depth) {
-        ++cascade;
-        if (depth == 0) {
-          return;
-        }
-        for (int i = 0; i < 2; ++i) {
-          auto const dest = static_cast<RankId>(ctx.rng().uniform_below(
-              static_cast<std::uint64_t>(ctx.num_ranks())));
-          detector.send(ctx, dest, 16, [&spawn, depth](rt::RankContext& c) {
-            spawn(c, depth - 1);
-          });
-        }
-      };
-  detector.post(0, [&spawn](rt::RankContext& ctx) { spawn(ctx, 6); });
-  detector.start();
-  runtime.run_until_quiescent();
-  std::cout << "3. termination detection: certified "
-            << detector.certified_count() << " messages in "
-            << detector.waves() << " waves (handlers ran: "
-            << cascade.load() << ")\n";
-
-  // 4. Migration: move an object around and watch the directory follow.
+  // 3. Migration: move an object around and watch the directory follow.
   rt::ObjectStore store{cfg.num_ranks};
   store.create(0, /*id=*/7, std::make_unique<Token>(42));
   (void)store.migrate(runtime, {Migration{7, 0, cfg.num_ranks - 1, 1.0}});
   auto const* token = dynamic_cast<Token const*>(
       store.find(cfg.num_ranks - 1, 7));
-  std::cout << "4. migration: task 7 now on rank " << store.owner(7)
+  std::cout << "3. migration: task 7 now on rank " << store.owner(7)
             << ", payload value " << (token != nullptr ? token->value() : -1)
             << ", " << store.migration_bytes() << " bytes moved\n";
   return 0;

@@ -10,8 +10,7 @@
 ///
 /// The canonical profiles (profile()/profile_names()) deliberately leave
 /// MessageKind::other and MessageKind::termination clean: collective
-/// reductions and termination waves are control traffic the protocols do
-/// not retry yet, so the profiles exercise the hardened paths (gossip,
+/// reductions are control traffic the protocols do not retry yet, so the profiles exercise the hardened paths (gossip,
 /// transfer, migration) without wedging the substrate. Tests that want to
 /// fault control traffic construct a config by hand.
 

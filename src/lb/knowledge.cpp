@@ -12,19 +12,6 @@ constexpr auto by_rank = [](KnownRank const& a, KnownRank const& b) {
   return a.rank < b.rank;
 };
 
-/// Exact bytes the wire format spends on `run` (ids strictly increasing).
-std::size_t encoded_size(std::span<KnownRank const> run) {
-  std::size_t id_bytes = 0;
-  RankId prev = -1; // first id is encoded absolute (prev + 1 == 0)
-  for (auto const& e : run) {
-    id_bytes +=
-        rt::varint_size(static_cast<std::uint64_t>(e.rank - prev - 1));
-    prev = e.rank;
-  }
-  return rt::varint_size(run.size()) + id_bytes +
-         run.size() * sizeof(LoadType);
-}
-
 } // namespace
 
 bool Knowledge::append_unknown(RankId rank, LoadType load) {
@@ -41,7 +28,7 @@ bool Knowledge::append_unknown(RankId rank, LoadType load) {
       (entries_.empty() || entries_.back().rank < rank)) {
     ++sorted_;
   }
-  entries_.push_back(KnownRank{rank, next_version_++, load});
+  entries_.push_back(KnownRank{rank, load});
   return true;
 }
 
@@ -49,18 +36,8 @@ void Knowledge::insert(RankId rank, LoadType load) {
   if (append_unknown(rank, load)) {
     return;
   }
-  auto& e = entries_[index_of(rank)];
-  e.load = load;
-  e.version = next_version_++;
-  close_run(); // a restamp in place: the tail no longer holds every fresh stamp
-}
-
-void Knowledge::merge(Knowledge const& other) {
-  // Rank order on the source stamps the fresh ranks in ascending rank
-  // order, as the merge contract promises.
-  for (auto const& e : other.entries()) {
-    append_unknown(e.rank, e.load);
-  }
+  entries_[index_of(rank)].load = load;
+  owes_full_ = true;
 }
 
 void Knowledge::merge_packed(rt::Unpacker& unpacker) {
@@ -89,10 +66,8 @@ void Knowledge::merge_packed(rt::Unpacker& unpacker) {
 }
 
 void Knowledge::add_load(RankId rank, LoadType delta) {
-  auto& e = entries_[index_of(rank)];
-  e.load += delta;
-  e.version = next_version_++;
-  close_run();
+  entries_[index_of(rank)].load += delta;
+  owes_full_ = true;
 }
 
 bool Knowledge::contains(RankId rank) const {
@@ -119,9 +94,7 @@ void Knowledge::clear() {
   entries_.clear();
   sorted_ = 0;
   run_begin_ = 0;
-  run_mark_ = 0;
-  next_version_ = 1;
-  truncated_ = false;
+  owes_full_ = true;
 }
 
 void Knowledge::reserve(std::size_t n) {
@@ -146,10 +119,11 @@ void Knowledge::sort_from(std::size_t from) const {
 }
 
 void Knowledge::sort_by_rank() const {
-  if (sorted_ != entries_.size()) {
-    sort_from(0);
-    close_run(); // the old tail is scattered now
+  if (run_begin_ != entries_.size()) {
+    owes_full_ = true;
+    run_begin_ = entries_.size();
   }
+  sort_from(0);
 }
 
 void Knowledge::truncate_random(std::size_t cap, Rng& rng) {
@@ -171,58 +145,21 @@ void Knowledge::truncate_random(std::size_t cap, Rng& rng) {
   }
   entries_.resize(cap);
   sorted_ = 0;
-  close_run();
-  truncated_ = true;
+  run_begin_ = cap;
+  owes_full_ = true;
 }
 
-std::span<KnownRank const> Knowledge::delta_run(std::uint32_t since) const {
-  since = std::min(since, version_mark());
-  if (since != run_mark_) {
-    // Not the mark the tail was cut at: gather the entries stamped after
-    // `since` into the tail. Entries before the first of them stay put.
-    auto const stale = [since](KnownRank const& e) {
-      return e.version <= since;
-    };
-    auto const first =
-        std::find_if_not(entries_.begin(), entries_.end(), stale);
-    auto const mid = std::partition(first, entries_.end(), stale);
-    if (mid != first) {
-      sorted_ = std::min(sorted_,
-                         static_cast<std::size_t>(first - entries_.begin()));
-    }
-    run_begin_ = static_cast<std::size_t>(mid - entries_.begin());
-    run_mark_ = since;
+void Knowledge::pack(rt::Packer& packer, bool full) {
+  TLB_EXPECTS(full || !owes_full_);
+  if (full) {
+    sort_by_rank();
+  } else {
+    sort_from(run_begin_);
   }
-  sort_from(run_begin_);
-  return std::span<KnownRank const>{entries_}.subspan(run_begin_);
-}
-
-std::size_t Knowledge::delta_count(std::uint32_t since) const {
-  return static_cast<std::size_t>(
-      std::count_if(entries_.begin(), entries_.end(),
-                    [since](KnownRank const& e) { return e.version > since; }));
-}
-
-Knowledge Knowledge::delta_copy(std::uint32_t since) const {
-  auto const run = delta_run(since);
-  Knowledge out;
-  out.entries_.reserve(run.size());
-  for (auto const& e : run) {
-    out.append_unknown(e.rank, e.load);
-  }
-  close_run();
-  return out;
-}
-
-std::size_t Knowledge::encoded_bytes(std::uint32_t since) const {
-  return encoded_size(delta_run(since));
-}
-
-void Knowledge::pack_since(rt::Packer& packer, std::uint32_t since) const {
-  auto const run = delta_run(since);
-  auto const start = packer.size();
+  auto const run =
+      std::span<KnownRank const>{entries_}.subspan(full ? 0 : run_begin_);
   packer.pack_varint(run.size());
-  RankId prev = -1;
+  RankId prev = -1; // first id is encoded absolute (prev + 1 == 0)
   for (auto const& e : run) {
     packer.pack_varint(static_cast<std::uint64_t>(e.rank - prev - 1));
     prev = e.rank;
@@ -230,10 +167,8 @@ void Knowledge::pack_since(rt::Packer& packer, std::uint32_t since) const {
   for (auto const& e : run) {
     packer.pack(e.load);
   }
-  // The byte accountant and the serializer share encoded_size(); if the
-  // two ever disagree the modeled traffic is a lie, so fail loudly.
-  TLB_ENSURES(packer.size() - start == encoded_size(run));
-  close_run();
+  run_begin_ = entries_.size();
+  owes_full_ = false;
 }
 
 Knowledge Knowledge::unpack(rt::Unpacker& unpacker) {

@@ -12,7 +12,7 @@ namespace tlb::lb {
 
 namespace {
 
-/// Worst-case bytes the plane prepends to a packed knowledge payload: a
+/// Worst-case bytes pack_forward prepends to a packed knowledge payload: a
 /// round-number varint (10 bytes covers any u64) plus the full/delta flag
 /// byte.
 constexpr std::size_t kHeaderBound = 11;
@@ -22,10 +22,11 @@ constexpr std::size_t kHeaderBound = 11;
 /// round (the `forwarded` bitmask), and a forward happens after the
 /// receive's truncation, so a payload holds at most min(cap, P) entries
 /// when capped and P otherwise. Uncapped delta payloads do better: an
-/// inform epoch only appends, so each entry is stamped once and shipped
-/// by exactly one forward, and the payloads partition at most P entries.
-/// That bounds the epoch at rounds·(kHeaderBound + 5) + 13P bytes rather
-/// than rounds·(13P + 16).
+/// inform epoch only appends, so after the first forward's snapshot each
+/// entry is shipped by exactly one forward's run, and the payloads
+/// partition at most P entries. That bounds the epoch at
+/// rounds·(kHeaderBound + 5) + 13P bytes rather than
+/// rounds·(13P + 16).
 std::size_t arena_bound(RankId num_ranks, int rounds, GossipWire wire,
                         std::size_t max_knowledge) {
   auto const p = static_cast<std::size_t>(num_ranks);
@@ -41,6 +42,43 @@ std::size_t arena_bound(RankId num_ranks, int rounds, GossipWire wire,
 }
 
 } // namespace
+
+void draw_peers(std::vector<RankId>& peers, RankId num_ranks, RankId self,
+                int fanout, Rng& rng) {
+  peers.clear();
+  auto const want = static_cast<std::size_t>(
+      std::min<RankId>(static_cast<RankId>(fanout), num_ranks - 1));
+  while (peers.size() < want) {
+    auto const peer = static_cast<RankId>(
+        rng.uniform_below(static_cast<std::uint64_t>(num_ranks)));
+    if (peer != self &&
+        std::find(peers.begin(), peers.end(), peer) == peers.end()) {
+      peers.push_back(peer);
+    }
+  }
+}
+
+void pack_forward(rt::Packer& packer, Knowledge& knowledge, int round,
+                  GossipWire wire) {
+  bool const full = wire == GossipWire::full || knowledge.owes_full();
+  packer.pack_varint(static_cast<std::uint64_t>(round));
+  packer.pack(static_cast<std::uint8_t>(full ? 1 : 0));
+  // An empty delta still goes out: the message itself is what keeps the
+  // receipt-triggered cascade alive (Algorithm 1's round gating), and it
+  // costs ~3 bytes.
+  knowledge.pack(packer, full);
+}
+
+bool merge_forward(std::span<std::byte const> bytes, int round,
+                   Knowledge& knowledge) {
+  rt::Unpacker unpacker{bytes};
+  auto const header_round = unpacker.unpack_varint();
+  TLB_ASSERT(header_round == static_cast<std::uint64_t>(round));
+  bool const full = unpacker.unpack<std::uint8_t>() != 0;
+  knowledge.merge_packed(unpacker);
+  TLB_ASSERT(unpacker.exhausted());
+  return full;
+}
 
 InformPlane::InformPlane(RankId num_ranks, std::uint64_t root_seed,
                          GossipWire wire, int fanout, int rounds,
@@ -79,25 +117,11 @@ void InformPlane::reset_epoch() {
     slot.knowledge.clear();
     slot.arena.clear(); // nothing is in flight: no reader is left
     slot.forwarded = 0;
-    slot.hwm = 0;
-    slot.need_full = true;
-    // Draw the epoch's fixed peer set: min(f, P-1) distinct ranks != r,
-    // uniform without replacement. Reusing one overlay for every forward
+    // The epoch's fixed peer set. Reusing one overlay for every forward
     // of the epoch is what makes delta payloads exactly equivalent to
     // full resend (each peer receives the whole contiguous forward
-    // sequence); see the file comment. clear()+push_back keeps the
-    // vector's capacity, so epochs after the first do not allocate.
-    slot.peers.clear();
-    auto const want = static_cast<std::size_t>(
-        std::min<RankId>(static_cast<RankId>(fanout_), p - 1));
-    while (slot.peers.size() < want) {
-      auto const peer = static_cast<RankId>(
-          slot.rng.uniform_below(static_cast<std::uint64_t>(p)));
-      if (peer != r && std::find(slot.peers.begin(), slot.peers.end(),
-                                 peer) == slot.peers.end()) {
-        slot.peers.push_back(peer);
-      }
-    }
+    // sequence); see the file comment.
+    draw_peers(slot.peers, p, r, fanout_, slot.rng);
   }
 }
 
@@ -113,23 +137,9 @@ void InformPlane::forward(rt::RankContext& ctx, int next_round) {
   // Serialize once per forwarding event; the f messages name the same
   // arena bytes (they carry identical wire data). Receivers deserialize,
   // proving the protocol serialization-clean.
-  bool const truncated = slot.knowledge.take_truncated();
-  bool const full =
-      wire_ == GossipWire::full || slot.need_full || truncated;
   auto const offset = slot.arena.size();
   rt::Packer packer{slot.arena};
-  packer.pack_varint(static_cast<std::uint64_t>(next_round));
-  packer.pack(static_cast<std::uint8_t>(full ? 1 : 0));
-  if (full) {
-    slot.knowledge.pack_full(packer);
-  } else {
-    // An empty delta still goes out: the message itself is what keeps the
-    // receipt-triggered cascade alive (Algorithm 1's round gating), and
-    // it costs ~3 bytes.
-    slot.knowledge.pack_delta(packer, slot.hwm);
-  }
-  slot.hwm = slot.knowledge.version_mark();
-  slot.need_full = false;
+  pack_forward(packer, slot.knowledge, next_round, wire_);
   // The receipt reads only these bytes: the arena never reallocates, and
   // it is rewound only at the next epoch, after quiescence.
   auto const deliver =
@@ -149,12 +159,7 @@ void InformPlane::forward(rt::RankContext& ctx, int next_round) {
 void InformPlane::receive(rt::RankContext& ctx, std::byte const* payload,
                           std::uint32_t length, int round) {
   auto& slot = slots_[static_cast<std::size_t>(ctx.rank())];
-  rt::Unpacker unpacker{std::span<std::byte const>{payload, length}};
-  auto const header_round = unpacker.unpack_varint();
-  TLB_ASSERT(header_round == static_cast<std::uint64_t>(round));
-  bool const full = unpacker.unpack<std::uint8_t>() != 0;
-  slot.knowledge.merge_packed(unpacker);
-  TLB_ASSERT(unpacker.exhausted());
+  bool const full = merge_forward({payload, length}, round, slot.knowledge);
   slot.knowledge.truncate_random(max_knowledge_, slot.rng);
   if (report_ != nullptr) {
     report_->on_gossip_message(round, length, slot.knowledge.size(), full);

@@ -7,14 +7,14 @@
 ///
 /// Three properties define the plane (see DESIGN.md "Gossip wire plane"):
 ///
-/// 1. *Versioned deltas.* Each rank tracks a high-water mark over its
-///    knowledge's version stamps, advanced at every forwarding event; in
-///    GossipWire::delta mode a forward ships only entries stamped above
-///    the mark. The first forward of an epoch and any forward after a
-///    truncation ship a full snapshot instead (the recovery rule).
+/// 1. *Deltas by append run.* In GossipWire::delta mode a forward ships
+///    only the run its knowledge appended since the previous forward
+///    (Knowledge::pack). The first forward of an epoch, and any forward
+///    after a truncation that dropped entries, ship a full snapshot
+///    instead (Knowledge::owes_full, the recovery rule).
 ///
 /// 2. *A per-epoch overlay on a dedicated RNG stream.* Each rank draws
-///    its f gossip peers once per epoch from
+///    its f gossip peers (draw_peers) once per epoch from
 ///    Rng{seed}.split(kGossipStreamTag).split(rank) — never from the
 ///    rank's main runtime stream — and every forwarding event of the
 ///    epoch fans out to that same set. Fixing the overlay makes the
@@ -33,8 +33,8 @@
 ///    arena_bound in inform_plane.cpp); an arena-mode rt::Packer aborts
 ///    rather than reallocate. A message carries {plane, payload pointer,
 ///    length, round}, 24 bytes, and the receiver decodes those bytes
-///    straight into its knowledge (Knowledge::merge_packed) without
-///    touching the sender's Slot. The bytes need no owner count: every
+///    straight into its knowledge (merge_forward) without touching the
+///    sender's Slot. The bytes need no owner count: every
 ///    epoch ends with run_until_quiescent, which returns only once
 ///    nothing is in flight, and reset_epoch rewinds the arenas only then.
 ///    After warm-up, inform epochs perform no heap allocations (pinned by
@@ -47,6 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lb/knowledge.hpp"
@@ -64,6 +65,26 @@ namespace tlb::lb {
 /// Stream tag for the gossip plane's RNG split (far outside the per-rank
 /// tag space 0..P-1, like rt::kFaultStreamTag).
 inline constexpr std::uint64_t kGossipStreamTag = 0x6055'0000'0000'0001ull;
+
+/// Draw `self`'s gossip peers for one inform epoch: min(fanout, P-1)
+/// distinct ranks other than `self`, uniform without replacement
+/// (rejection over uniform_below(P)), into `peers`, reusing its capacity.
+/// Every forwarding event of the epoch fans out to this set. The plane
+/// and the sequential emulator (lbaf::run_gossip) both draw here, each
+/// from its own stream.
+void draw_peers(std::vector<RankId>& peers, RankId num_ranks, RankId self,
+                int fanout, Rng& rng);
+
+/// Pack one forwarding event: the round as a varint, a flag byte (1 for a
+/// full snapshot), then the knowledge payload. It is a full snapshot
+/// under GossipWire::full or when the knowledge owes one.
+void pack_forward(rt::Packer& packer, Knowledge& knowledge, int round,
+                  GossipWire wire);
+
+/// Merge the forwarding event `bytes` (pack_forward), sent at `round`,
+/// into `knowledge`; true when it was a full snapshot.
+bool merge_forward(std::span<std::byte const> bytes, int round,
+                   Knowledge& knowledge);
 
 /// One inform plane serves every epoch of one balance() invocation. Its
 /// messages point back at it, so the caller keeps it alive, and in
@@ -107,10 +128,6 @@ private:
     /// forwarding event fans out to exactly these ranks.
     std::vector<RankId> peers;
     std::uint64_t forwarded = 0; ///< bitmask of rounds already forwarded
-    /// Version high-water mark of the last forwarding event.
-    std::uint32_t hwm = 0;
-    /// First forward of the epoch must ship a full snapshot.
-    bool need_full = true;
   };
 
   /// One forwarding event: serialize once (full or delta) into the

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 
+#include "lb/strategy/inform_plane.hpp"
 #include "runtime/serialize.hpp"
 #include "support/assert.hpp"
 
@@ -11,47 +11,16 @@ namespace tlb::lbaf {
 
 namespace {
 
-/// One in-flight gossip message: the sender's knowledge snapshot plus the
-/// round it will be processed at. The snapshot is shared across the f
-/// messages of one forwarding event (they serialize the same bytes), which
-/// bounds peak memory at large P — the pitfall the paper's footnote 2
-/// flags for O(P) underloaded lists.
-struct GossipMessage {
-  RankId dest = invalid_rank;
-  std::shared_ptr<lb::Knowledge const> payload;
+/// One forwarding event in flight: its sender, the round its messages are
+/// processed at, and its packed bytes. Its f messages go out back to back
+/// to the sender's overlay peers in order, and every later forward joins
+/// the queue behind them, so delivering a whole forward at a time is the
+/// order a FIFO of single messages gives.
+struct Forward {
+  RankId from = invalid_rank;
   int round = 0;
-  bool full = true; ///< full snapshot vs delta payload (GossipWire)
+  std::vector<std::byte> bytes;
 };
-
-/// Modeled wire size of one message: what the distributed protocol packs
-/// (varint round + one flag byte + the entries encoding).
-std::size_t message_wire_bytes(GossipMessage const& msg) {
-  return rt::varint_size(static_cast<std::uint64_t>(msg.round)) + 1 +
-         msg.payload->wire_bytes();
-}
-
-/// Draw `self`'s gossip peers for the epoch: min(fanout, P-1) distinct
-/// ranks != self, uniform without replacement. Every forwarding event of
-/// the epoch reuses this set (a random f-out overlay), which is what
-/// makes the delta wire exactly equivalent to full resend: each peer
-/// receives the sender's *entire* forward sequence, so the contiguous
-/// deltas union to precisely the full-resend payloads edge by edge. The
-/// paper's footnote-2 random-graph-connectivity argument bounds the
-/// coverage cost of fixing the overlay (a random f-out digraph is an
-/// expander; its giant out-component misses O(e^-f) of rank pairs).
-void draw_peers(std::vector<RankId>& peers, RankId num_ranks, RankId self,
-                int fanout, Rng& rng) {
-  peers.clear();
-  auto const want = static_cast<std::size_t>(
-      std::min<RankId>(static_cast<RankId>(fanout), num_ranks - 1));
-  while (peers.size() < want) {
-    auto const r = static_cast<RankId>(
-        rng.uniform_below(static_cast<std::uint64_t>(num_ranks)));
-    if (r != self && std::find(peers.begin(), peers.end(), r) == peers.end()) {
-      peers.push_back(r);
-    }
-  }
-}
 
 } // namespace
 
@@ -67,11 +36,6 @@ run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,
   std::vector<lb::Knowledge> knowledge(rank_loads.size());
   // Bitmask of rounds each rank has already forwarded at (k <= 64).
   std::vector<std::uint64_t> forwarded(rank_loads.size(), 0);
-  // Delta-wire bookkeeping: the version high-water mark of each rank's
-  // last forwarding event, and whether its next forward must be a full
-  // snapshot (first forward of the epoch, or truncation recovery).
-  std::vector<std::uint32_t> hwm(rank_loads.size(), 0);
-  std::vector<char> need_full(rank_loads.size(), 1);
   GossipStats local_stats;
   local_stats.per_round.resize(static_cast<std::size_t>(rounds) + 1);
 
@@ -82,31 +46,23 @@ run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,
     return knowledge;
   }
 
-  std::deque<GossipMessage> queue;
+  std::deque<Forward> queue;
 
   // The epoch's gossip overlay: every rank's peer set is fixed up front
   // (drawn before any message flows, so RNG consumption is identical
   // under both wire modes and the message graph is knowledge-independent).
   std::vector<std::vector<RankId>> overlay(rank_loads.size());
   for (RankId p = 0; p < num_ranks; ++p) {
-    draw_peers(overlay[static_cast<std::size_t>(p)], num_ranks, p, fanout,
-               rng);
+    lb::draw_peers(overlay[static_cast<std::size_t>(p)], num_ranks, p, fanout,
+                   rng);
   }
 
+  // Pack once per forwarding event, as the inform plane does.
   auto send_fanout = [&](RankId from, int next_round) {
-    auto const fi = static_cast<std::size_t>(from);
-    bool const truncated = knowledge[fi].take_truncated();
-    bool const full = wire == lb::GossipWire::full || need_full[fi] != 0 ||
-                      truncated;
-    auto const snapshot =
-        full ? std::make_shared<lb::Knowledge const>(knowledge[fi])
-             : std::make_shared<lb::Knowledge const>(
-                   knowledge[fi].delta_copy(hwm[fi]));
-    hwm[fi] = knowledge[fi].version_mark();
-    need_full[fi] = 0;
-    for (RankId const dest : overlay[fi]) {
-      queue.push_back(GossipMessage{dest, snapshot, next_round, full});
-    }
+    rt::Packer packer;
+    lb::pack_forward(packer, knowledge[static_cast<std::size_t>(from)],
+                     next_round, wire);
+    queue.push_back(Forward{from, next_round, std::move(packer).take()});
   };
 
   // Algorithm 1, INFORM: underloaded ranks seed the epidemic.
@@ -121,36 +77,38 @@ run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,
 
   // Algorithm 1, INFORMHANDLER: FIFO drain emulates async delivery.
   while (!queue.empty()) {
-    GossipMessage msg = std::move(queue.front());
+    Forward const fwd = std::move(queue.front());
     queue.pop_front();
-    auto const pi = static_cast<std::size_t>(msg.dest);
+    auto const length = fwd.bytes.size();
+    for (RankId const dest : overlay[static_cast<std::size_t>(fwd.from)]) {
+      auto const pi = static_cast<std::size_t>(dest);
+      bool const full = lb::merge_forward(fwd.bytes, fwd.round, knowledge[pi]);
+      knowledge[pi].truncate_random(max_knowledge, rng);
 
-    ++local_stats.messages;
-    local_stats.full_messages += msg.full ? 1 : 0;
-    local_stats.bytes += message_wire_bytes(msg);
-    local_stats.max_round_seen = std::max(
-        local_stats.max_round_seen, static_cast<std::size_t>(msg.round));
+      ++local_stats.messages;
+      local_stats.full_messages += full ? 1 : 0;
+      local_stats.bytes += length;
+      local_stats.max_round_seen = std::max(
+          local_stats.max_round_seen, static_cast<std::size_t>(fwd.round));
 
-    knowledge[pi].merge(*msg.payload);
-    knowledge[pi].truncate_random(max_knowledge, rng);
-
-    auto& round_stats = local_stats.per_round[static_cast<std::size_t>(
-        std::min(msg.round, rounds))];
-    std::size_t const k = knowledge[pi].size();
-    round_stats.knowledge_min = round_stats.messages == 0
-                                    ? k
+      auto& round_stats = local_stats.per_round[static_cast<std::size_t>(
+          std::min(fwd.round, rounds))];
+      std::size_t const k = knowledge[pi].size();
+      round_stats.knowledge_min =
+          round_stats.messages == 0 ? k
                                     : std::min(round_stats.knowledge_min, k);
-    round_stats.knowledge_max = std::max(round_stats.knowledge_max, k);
-    round_stats.knowledge_sum += k;
-    ++round_stats.messages;
-    round_stats.full_messages += msg.full ? 1 : 0;
-    round_stats.bytes += message_wire_bytes(msg);
+      round_stats.knowledge_max = std::max(round_stats.knowledge_max, k);
+      round_stats.knowledge_sum += k;
+      ++round_stats.messages;
+      round_stats.full_messages += full ? 1 : 0;
+      round_stats.bytes += length;
 
-    if (msg.round < rounds) {
-      std::uint64_t const bit = 1ull << msg.round;
-      if ((forwarded[pi] & bit) == 0) {
-        forwarded[pi] |= bit;
-        send_fanout(msg.dest, msg.round + 1);
+      if (fwd.round < rounds) {
+        std::uint64_t const bit = 1ull << fwd.round;
+        if ((forwarded[pi] & bit) == 0) {
+          forwarded[pi] |= bit;
+          send_fanout(dest, fwd.round + 1);
+        }
       }
     }
   }

@@ -13,13 +13,18 @@
 /// O(P * f * k) messages. We follow the implementations.
 ///
 /// Peer selection is per *epoch*, not per forwarding event: each rank
-/// draws f distinct peers up front and every one of its forwards fans out
-/// to that same set (a random f-out overlay). Fixing the overlay is what
-/// makes the delta wire (GossipWire::delta) exactly equivalent to full
-/// resend — each peer sees the sender's whole forward sequence, so the
-/// contiguous deltas union to the full-resend payloads edge by edge — at
-/// a coverage cost bounded by the paper's own footnote-2 random-graph
-/// connectivity argument (see DESIGN.md "Gossip wire plane").
+/// draws f distinct peers up front (lb::draw_peers) and every one of its
+/// forwards fans out to that same set (a random f-out overlay). Fixing the
+/// overlay is what makes the delta wire (GossipWire::delta) exactly
+/// equivalent to full resend — each peer sees the sender's whole forward
+/// sequence, so the contiguous deltas union to the full-resend payloads
+/// edge by edge — at a coverage cost bounded by the paper's own footnote-2
+/// random-graph connectivity argument (see DESIGN.md "Gossip wire plane").
+///
+/// Messages carry the inform plane's bytes: each forwarding event is
+/// packed once (lb::pack_forward) and every receiver decodes it
+/// (lb::merge_forward), so the emulator and the runtime protocol share one
+/// wire format.
 
 #include <cstdint>
 #include <vector>
@@ -64,10 +69,11 @@ struct GossipStats {
 ///                    unlimited. Bounds message sizes at O(cap) instead
 ///                    of O(P) (paper footnote 2).
 /// \param wire        Payload encoding per forwarding event: full resend
-///                    or versioned deltas with full-snapshot recovery
-///                    (see lb::GossipWire and DESIGN.md "Gossip wire
-///                    plane"). Byte accounting models the true packed
-///                    message: varint round + flag byte + entries.
+///                    or the run appended since the previous forward, with
+///                    full-snapshot recovery (see lb::GossipWire and
+///                    DESIGN.md "Gossip wire plane"). Byte counts are the
+///                    packed messages' lengths: varint round + flag byte +
+///                    entries.
 /// \return Per-rank knowledge (LOAD^p()) after quiescence.
 [[nodiscard]] std::vector<lb::Knowledge>
 run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,

@@ -5,9 +5,9 @@
 /// a CausalStamp (origin rank, LB step, parent span id, hop count); the
 /// runtime stamps it at send time from the stamp of the message whose
 /// handler performed the send, so arbitrary fan-out chains — gossip
-/// forwards, transfer proposals, migration payloads, termination waves —
-/// stay linked from root post to final delivery. Each delivery appends a
-/// CausalEvent to the process-wide CausalLog (per-thread bounded buffers,
+/// forwards, transfer proposals, migration payloads — stay linked from
+/// root post to final delivery. Each delivery appends a CausalEvent to
+/// the process-wide CausalLog (per-thread bounded buffers,
 /// Tracer-style), and compute_critical_path() reconstructs the deepest
 /// chain ending at quiescence with per-rank / per-kind wall-time
 /// attribution — the "why was this step slow" reducer that tlb_report and

@@ -26,7 +26,7 @@
 ///   crashed — the rank is dead: the runtime purges its mailbox (queued
 ///             and delayed alike), counting every purged message as
 ///             dropped so the in-flight counter still reaches zero and
-///             termination detection is never wedged.
+///             quiescence detection is never wedged.
 
 #include <cstdint>
 

@@ -19,7 +19,7 @@ enum class MessageKind : std::uint8_t {
   gossip,      ///< inform-epoch knowledge propagation (Algorithm 1)
   transfer,    ///< transfer-pass proposals and NACK bounces (Algorithm 2)
   migration,   ///< committed task payload movement
-  termination, ///< termination-detector wave traffic
+  termination, ///< termination-detection traffic (no protocol sends it)
 };
 
 inline constexpr std::size_t num_message_kinds = 5;

@@ -26,9 +26,7 @@
 /// been flushed and returned. The counter reaching zero therefore implies
 /// no queued messages and no executing handler anywhere: exactly the
 /// guarantee a distributed termination detector provides, obtained here
-/// through shared memory. A faithful message-based Mattern four-counter
-/// detector is implemented in termination.hpp and validated against this
-/// ground truth in the tests.
+/// through shared memory.
 
 #include <atomic>
 #include <cstdint>

@@ -1,13 +1,13 @@
 /// \file knowledge_model_test.cpp
 /// Seeded model test: Knowledge (arrival-ordered storage, membership
-/// bitset, lazily restored rank order, cached delta tail) must be
-/// observably identical to the sorted-vector container it replaced,
-/// written out literally below as the reference. Random operation
-/// sequences over ranks [0, 300) mix the inform plane's pattern (small
-/// packed merges, deltas at the last forward's mark) with everything
-/// else the type offers; after every step the two must agree on
-/// entries() (rank, load and version), contains, load_of, version_mark,
-/// delta_count, the wire-size accountant and every packed byte.
+/// bitset, lazily restored rank order, the unshipped run kept as a tail)
+/// must be observably identical to a sorted-vector container that lists
+/// its unshipped ranks and whether it owes a full snapshot, written out
+/// literally below as the reference. Random operation sequences over
+/// ranks [0, 300) mix the inform plane's pattern (small packed merges,
+/// each followed by a forward) with everything else the type offers;
+/// after every step the two must agree on entries(), contains, load_of,
+/// owes_full and every packed byte, full snapshot and delta alike.
 
 #include "lb/knowledge.hpp"
 
@@ -27,12 +27,13 @@ namespace {
 constexpr RankId kRanks = 300;
 
 /// The sorted-by-rank container, literally: every lookup is a binary
-/// search, every change stamps the entry, and a merge inserts the ranks
-/// it did not know in ascending rank order, stamping each in turn.
+/// search, every rank it learns joins the unshipped list, and anything but
+/// learning a rank owes a full snapshot.
 struct SortedReference {
   std::vector<KnownRank> entries;
-  std::uint32_t next_version = 1;
-  bool truncated = false;
+  /// Ranks learned since the last pack.
+  std::vector<RankId> unshipped;
+  bool owes_full = true;
 
   [[nodiscard]] std::vector<KnownRank>::iterator lower(RankId rank) {
     return std::lower_bound(
@@ -47,14 +48,20 @@ struct SortedReference {
     return it != entries.end() && it->rank == rank ? &*it : nullptr;
   }
 
+  void learn(std::vector<KnownRank>::iterator at, RankId rank,
+             LoadType load) {
+    entries.insert(at, KnownRank{rank, load});
+    unshipped.push_back(rank);
+  }
+
   void insert(RankId rank, LoadType load) {
     auto const it = lower(rank);
     if (it != entries.end() && it->rank == rank) {
       it->load = load;
-      it->version = next_version++;
+      owes_full = true;
       return;
     }
-    entries.insert(it, KnownRank{rank, next_version++, load});
+    learn(it, rank, load);
   }
 
   /// `incoming` is sorted by rank.
@@ -62,15 +69,23 @@ struct SortedReference {
     for (auto const& e : incoming) {
       auto const it = lower(e.rank);
       if (it == entries.end() || it->rank != e.rank) {
-        entries.insert(it, KnownRank{e.rank, next_version++, e.load});
+        learn(it, e.rank, e.load);
       }
     }
   }
 
   void add_load(RankId rank, LoadType delta) {
-    auto const it = lower(rank);
-    it->load += delta;
-    it->version = next_version++;
+    lower(rank)->load += delta;
+    owes_full = true;
+  }
+
+  /// entries() or load_of() on the original: reading in rank order folds
+  /// any unshipped run into the rest.
+  void read_in_rank_order() {
+    if (!unshipped.empty()) {
+      owes_full = true;
+      unshipped.clear();
+    }
   }
 
   void truncate_random(std::size_t cap, Rng& rng) {
@@ -86,31 +101,27 @@ struct SortedReference {
               [](KnownRank const& a, KnownRank const& b) {
                 return a.rank < b.rank;
               });
-    truncated = true;
+    owes_full = true;
   }
 
   void clear() {
     entries.clear();
-    next_version = 1;
-    truncated = false;
+    unshipped.clear();
+    owes_full = true;
   }
 
-  [[nodiscard]] std::uint32_t version_mark() const {
-    return next_version - 1;
-  }
-
-  [[nodiscard]] std::vector<KnownRank> since(std::uint32_t mark) const {
-    std::vector<KnownRank> out;
+  /// What pack(_, full) emits; marks everything shipped.
+  [[nodiscard]] std::vector<std::byte> pack(bool full) {
+    EXPECT_TRUE(full || !owes_full);
+    std::vector<KnownRank> shipped;
     for (auto const& e : entries) {
-      if (e.version > mark) {
-        out.push_back(e);
+      if (full || std::find(unshipped.begin(), unshipped.end(), e.rank) !=
+                      unshipped.end()) {
+        shipped.push_back(e);
       }
     }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<std::byte> pack(std::uint32_t mark) const {
-    auto const shipped = since(mark);
+    unshipped.clear();
+    owes_full = false;
     rt::Packer p;
     p.pack_varint(shipped.size());
     RankId prev = -1;
@@ -142,28 +153,19 @@ struct SortedReference {
   }
 };
 
-/// pack_full at mark 0 (the first forward of an epoch), else pack_delta.
-std::vector<std::byte> packed(Knowledge const& k, std::uint32_t since) {
+std::vector<std::byte> packed(Knowledge& k, bool full) {
   rt::Packer p;
-  if (since == 0) {
-    k.pack_full(p);
-  } else {
-    k.pack_delta(p, since);
-  }
+  k.pack(p, full);
   auto const bytes = p.bytes();
   return {bytes.begin(), bytes.end()};
 }
 
-/// Compares on a copy: the accessors restore rank order in place, and
-/// checking the original would hide the arrival-ordered storage from the
-/// next operation.
-void expect_same(Knowledge const& knowledge, SortedReference const& ref,
-                 std::vector<std::uint32_t> const& marks, Rng& rng) {
-  EXPECT_EQ(knowledge.version_mark(), ref.version_mark());
+/// Compares on copies: the accessors restore rank order in place (which
+/// folds the unshipped run), and packing marks entries shipped, so
+/// checking the original would change what the next operation sees.
+void expect_same(Knowledge const& knowledge, SortedReference const& ref) {
+  EXPECT_EQ(knowledge.owes_full(), ref.owes_full);
   EXPECT_EQ(knowledge.size(), ref.entries.size());
-  for (std::uint32_t const mark : marks) {
-    EXPECT_EQ(knowledge.delta_count(mark), ref.since(mark).size()) << mark;
-  }
   for (RankId r = -1; r <= kRanks; ++r) {
     ASSERT_EQ(knowledge.contains(r), ref.find(r) != nullptr) << "rank " << r;
   }
@@ -176,15 +178,18 @@ void expect_same(Knowledge const& knowledge, SortedReference const& ref,
   auto const got = probe.entries();
   ASSERT_EQ(got.size(), ref.entries.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].rank, ref.entries[i].rank) << i;
-    EXPECT_EQ(got[i].load, ref.entries[i].load) << i;
-    EXPECT_EQ(got[i].version, ref.entries[i].version) << i;
+    EXPECT_EQ(got[i], ref.entries[i]) << i;
   }
-  // A delta at a random earlier mark, packed from another untouched copy.
-  auto const mark = static_cast<std::uint32_t>(
-      rng.index(static_cast<std::size_t>(ref.version_mark()) + 2));
-  Knowledge const other = knowledge;
-  EXPECT_EQ(packed(other, mark), ref.pack(mark)) << "since " << mark;
+  // The full snapshot and, when owed nothing, the delta, each packed from
+  // another untouched copy.
+  Knowledge full = knowledge;
+  SortedReference full_ref = ref;
+  EXPECT_EQ(packed(full, true), full_ref.pack(true));
+  if (!ref.owes_full && !knowledge.owes_full()) {
+    Knowledge delta = knowledge;
+    SortedReference delta_ref = ref;
+    EXPECT_EQ(packed(delta, false), delta_ref.pack(false));
+  }
 }
 
 /// A source knowledge built in random arrival order, with its reference.
@@ -203,53 +208,47 @@ void run_sequence(std::uint64_t seed, int steps) {
   Rng rng{seed};
   Knowledge k;
   SortedReference ref;
-  // The forward high-water mark, as the inform plane keeps it, plus the
-  // marks of every pack so far (across clears).
-  std::uint32_t hwm = 0;
-  std::vector<std::uint32_t> marks{0};
 
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE(::testing::Message() << "step " << step);
     auto const op = rng.index(100);
     if (op < 28) {
-      // merge_packed of a small payload (a delta, mostly).
+      // merge_packed of a small full snapshot.
       Knowledge source;
       SortedReference source_ref;
       auto const n = 1 + rng.index(rng.index(4) == 0 ? 40 : 4);
       random_source(rng, n, source, source_ref);
-      auto const bytes = packed(source, 0);
-      EXPECT_EQ(bytes, source_ref.pack(0));
+      auto const bytes = packed(source, true);
+      EXPECT_EQ(bytes, source_ref.pack(true));
       rt::Unpacker u{bytes};
       k.merge_packed(u);
       EXPECT_TRUE(u.exhausted());
       ref.merge(SortedReference::unpack(bytes));
     } else if (op < 42) {
-      // pack_delta at the last forward's mark: the plane's hot path.
-      EXPECT_EQ(packed(k, hwm), ref.pack(hwm));
-      hwm = ref.version_mark();
-      marks.push_back(hwm);
+      // A forward: a delta unless a full snapshot is owed, as the inform
+      // plane packs one (the plane's hot path).
+      bool const full = ref.owes_full;
+      EXPECT_EQ(packed(k, full), ref.pack(full));
     } else if (op < 50) {
       auto const r = static_cast<RankId>(rng.index(kRanks));
       auto const load = rng.uniform(0.0, 4.0);
       k.insert(r, load);
       ref.insert(r, load);
     } else if (op < 60) {
-      // merge of an arrival-ordered source, sometimes itself built by
-      // packed merges (so its storage is neither sorted nor fresh).
+      // merge_packed of another knowledge's delta: its storage is neither
+      // sorted nor fresh, and its run is cut after a full snapshot.
       Knowledge source;
       SortedReference source_ref;
       random_source(rng, rng.index(30), source, source_ref);
-      if (rng.index(2) == 0) {
-        Knowledge more;
-        SortedReference more_ref;
-        random_source(rng, rng.index(10), more, more_ref);
-        auto const bytes = more_ref.pack(0);
-        rt::Unpacker u{bytes};
-        source.merge_packed(u);
-        source_ref.merge(SortedReference::unpack(bytes));
-      }
-      k.merge(source);
-      ref.merge(source_ref.entries);
+      (void)packed(source, true);
+      (void)source_ref.pack(true);
+      random_source(rng, rng.index(10), source, source_ref);
+      bool const full = source_ref.owes_full;
+      auto const bytes = packed(source, full);
+      EXPECT_EQ(bytes, source_ref.pack(full));
+      rt::Unpacker u{bytes};
+      k.merge_packed(u);
+      ref.merge(SortedReference::unpack(bytes));
     } else if (op < 68) {
       if (!ref.entries.empty()) {
         auto const& e = ref.entries[rng.index(ref.entries.size())];
@@ -264,50 +263,25 @@ void run_sequence(std::uint64_t seed, int steps) {
       Rng ref_draws = draws;
       k.truncate_random(cap, draws);
       ref.truncate_random(cap, ref_draws);
-      EXPECT_EQ(k.take_truncated(), ref.truncated);
-      ref.truncated = false;
-    } else if (op < 80) {
-      // pack_full, then the plane's next forward packs from its mark.
-      EXPECT_EQ(packed(k, 0), ref.pack(0));
-      hwm = ref.version_mark();
-      marks.push_back(hwm);
     } else if (op < 87) {
-      // pack_delta at an arbitrary mark: earlier, past the current one,
-      // or from before the last clear().
-      auto const mark = marks[rng.index(marks.size())] +
-                        static_cast<std::uint32_t>(rng.index(3));
-      if (rng.index(2) == 0) {
-        EXPECT_EQ(k.wire_bytes_delta(mark), ref.pack(mark).size());
-      } else {
-        EXPECT_EQ(packed(k, mark), ref.pack(mark));
-      }
-    } else if (op < 90) {
-      auto const mark = marks[rng.index(marks.size())];
-      auto const copy = k.delta_copy(mark);
-      auto const expect = ref.since(mark);
-      auto const got = copy.entries();
-      ASSERT_EQ(got.size(), expect.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].rank, expect[i].rank);
-        EXPECT_EQ(got[i].load, expect[i].load);
-        EXPECT_EQ(got[i].version, static_cast<std::uint32_t>(i) + 1);
-      }
+      // A full snapshot, as under GossipWire::full or a recovery.
+      EXPECT_EQ(packed(k, true), ref.pack(true));
     } else if (op < 96) {
       // Rank-order reads on the original itself, as the transfer pass
       // makes between inform epochs (the copies in expect_same leave the
       // original's storage alone).
-      if (!ref.entries.empty()) {
+      if (!ref.entries.empty() && rng.index(2) == 0) {
         auto const& e = ref.entries[rng.index(ref.entries.size())];
         EXPECT_EQ(k.load_of(e.rank), e.load);
+      } else {
+        EXPECT_EQ(k.entries().size(), ref.entries.size());
       }
-      EXPECT_EQ(k.entries().size(), ref.entries.size());
+      ref.read_in_rank_order();
     } else {
-      // Marks from before the clear stay candidates for later deltas.
       k.clear();
       ref.clear();
-      hwm = 0;
     }
-    expect_same(k, ref, marks, rng);
+    expect_same(k, ref);
     if (::testing::Test::HasFailure()) {
       return;
     }
@@ -325,12 +299,12 @@ TEST(KnowledgeModel, MatchesTheSortedVectorReference) {
 
 TEST(KnowledgeModel, WirePayloadRoundTripsThroughMergePacked) {
   // unpack_into is clear() + merge_packed: a knowledge decoded from the
-  // wire equals its source, restamped 1..n in rank order.
+  // wire equals its source.
   Rng rng{17};
   Knowledge source;
   SortedReference source_ref;
   random_source(rng, 120, source, source_ref);
-  auto const bytes = packed(source, 0);
+  auto const bytes = packed(source, true);
   Knowledge back;
   back.insert(5, 1.0); // stale contents to be replaced
   rt::Unpacker u{bytes};
@@ -339,9 +313,7 @@ TEST(KnowledgeModel, WirePayloadRoundTripsThroughMergePacked) {
   auto const got = back.entries();
   ASSERT_EQ(got.size(), source_ref.entries.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].rank, source_ref.entries[i].rank);
-    EXPECT_EQ(got[i].load, source_ref.entries[i].load);
-    EXPECT_EQ(got[i].version, static_cast<std::uint32_t>(i) + 1);
+    EXPECT_EQ(got[i], source_ref.entries[i]) << i;
   }
 }
 

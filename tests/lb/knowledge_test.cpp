@@ -2,8 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/serialize.hpp"
+
 namespace tlb::lb {
 namespace {
+
+/// Ship `from` as a full snapshot and merge the bytes into `into`, as a
+/// gossip receipt does.
+void merge_snapshot(Knowledge& into, Knowledge from) {
+  rt::Packer p;
+  from.pack(p, true);
+  rt::Unpacker u{p.bytes()};
+  into.merge_packed(u);
+  EXPECT_TRUE(u.exhausted());
+}
+
+/// Bytes a full snapshot of `k` packs to.
+std::size_t snapshot_bytes(Knowledge k) {
+  rt::Packer p;
+  k.pack(p, true);
+  return p.size();
+}
 
 TEST(Knowledge, InsertAndLookup) {
   Knowledge k;
@@ -46,7 +65,7 @@ TEST(Knowledge, MergeKeepsLocalLoadOnConflict) {
   Knowledge incoming;
   incoming.insert(1, 2.0); // stale gossiped value
   incoming.insert(2, 3.0); // new rank
-  mine.merge(incoming);
+  merge_snapshot(mine, incoming);
   EXPECT_EQ(mine.size(), 2u);
   EXPECT_DOUBLE_EQ(mine.load_of(1), 5.0); // local wins
   EXPECT_DOUBLE_EQ(mine.load_of(2), 3.0);
@@ -59,7 +78,7 @@ TEST(Knowledge, MergeDisjointSets) {
   Knowledge b;
   b.insert(2, 3.0);
   b.insert(6, 4.0);
-  a.merge(b);
+  merge_snapshot(a, b);
   ASSERT_EQ(a.size(), 4u);
   auto const e = a.entries();
   EXPECT_EQ(e[0].rank, 0);
@@ -71,12 +90,11 @@ TEST(Knowledge, MergeDisjointSets) {
 TEST(Knowledge, MergeWithEmpty) {
   Knowledge a;
   a.insert(1, 1.0);
-  Knowledge const empty;
-  a.merge(empty);
+  merge_snapshot(a, Knowledge{});
   EXPECT_EQ(a.size(), 1u);
 
   Knowledge b;
-  b.merge(a);
+  merge_snapshot(b, a);
   EXPECT_EQ(b.size(), 1u);
   EXPECT_DOUBLE_EQ(b.load_of(1), 1.0);
 }
@@ -97,19 +115,19 @@ TEST(Knowledge, ClearEmpties) {
   EXPECT_FALSE(k.contains(1));
 }
 
-TEST(Knowledge, WireBytesMatchesTheCompactEncoding) {
+TEST(Knowledge, PackedSizeMatchesTheCompactEncoding) {
   // varint count + delta-varint rank ids + raw f64 loads — not
   // sizeof(KnownRank), which would bill struct padding to the network.
   Knowledge k;
-  EXPECT_EQ(k.wire_bytes(), 1u); // just the zero count
+  EXPECT_EQ(snapshot_bytes(k), 1u); // just the zero count
   k.insert(1, 1.0);
-  EXPECT_EQ(k.wire_bytes(), 1 + 1 + 8u);
+  EXPECT_EQ(snapshot_bytes(k), 1 + 1 + 8u);
   k.insert(2, 2.0);
   // Adjacent ranks delta-code to gap 0: one varint byte each.
-  EXPECT_EQ(k.wire_bytes(), 1 + 2 + 16u);
+  EXPECT_EQ(snapshot_bytes(k), 1 + 2 + 16u);
   k.insert(100000, 3.0);
   // Gap 99997 needs a 3-byte varint.
-  EXPECT_EQ(k.wire_bytes(), 1 + 2 + 3 + 24u);
+  EXPECT_EQ(snapshot_bytes(k), 1 + 2 + 3 + 24u);
 }
 
 TEST(KnowledgeDeath, LoadOfUnknownRankAborts) {

@@ -137,5 +137,39 @@ TEST(GossipSim, FewRoundsGiveOnlyPartialKnowledge) {
   EXPECT_LT(mean, p / 4.0); // nowhere near full knowledge after 1 round
 }
 
+/// Seeded epochs of the M8 comparison (EXPERIMENTS.md): fanout 6,
+/// rounds 10, every even rank overloaded, seed 2021. The emulator ships
+/// the inform plane's packed forwards, and these counts pin that those
+/// bytes (header, count, id gaps and loads) stay what the wire plane has
+/// always billed, in both wires. 256 ranks pack enough forwards to drop
+/// consumed bytes from the epoch buffer many times over.
+TEST(GossipSim, PackedBytesMatchTheM8Table) {
+  struct Row {
+    int ranks;
+    lb::GossipWire wire;
+    std::size_t bytes;
+    std::size_t messages;
+    std::size_t full_messages;
+  };
+  for (Row const row :
+       {Row{64, lb::GossipWire::full, 678276, 3576, 3576},
+        Row{64, lb::GossipWire::delta, 119646, 3576, 384},
+        Row{256, lb::GossipWire::full, 8414616, 14562, 14562},
+        Row{256, lb::GossipWire::delta, 1815150, 14562, 1536}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << row.ranks << " ranks, " << lb::to_string(row.wire));
+    std::vector<LoadType> loads(static_cast<std::size_t>(row.ranks), 0.0);
+    for (int i = 0; i < row.ranks; i += 2) {
+      loads[static_cast<std::size_t>(i)] = 2.0;
+    }
+    Rng rng{2021};
+    GossipStats stats;
+    (void)run_gossip(loads, 1.0, 6, 10, rng, &stats, 0, row.wire);
+    EXPECT_EQ(stats.bytes, row.bytes);
+    EXPECT_EQ(stats.messages, row.messages);
+    EXPECT_EQ(stats.full_messages, row.full_messages);
+  }
+}
+
 } // namespace
 } // namespace tlb::lbaf

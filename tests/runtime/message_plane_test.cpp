@@ -4,7 +4,7 @@
 /// FIFO, in-place consume_batch visit semantics, work-stealing
 /// determinism of results (not ordering), the P-not-divisible-by-workers
 /// partitioning regression, a full-buffer closure through post_all, and
-/// migration plus termination across the protocol stack.
+/// migration across the protocol stack.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "runtime/mailbox.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/termination.hpp"
 #include "support/rng.hpp"
 
 namespace tlb::rt {
@@ -355,10 +354,10 @@ private:
   std::size_t bytes_;
 };
 
-/// The full protocol stack (gossip, transfer, migration and termination
-/// waves) over one runtime must migrate tasks, then detect termination, on
-/// both drivers. Its closures fit the envelope's inline buffer by
-/// construction: InlineHandler refuses any other at compile time.
+/// The full protocol stack (gossip, transfer and migration) over one
+/// runtime must migrate tasks on both drivers. Its closures fit the
+/// envelope's inline buffer by construction: InlineHandler refuses any
+/// other at compile time.
 void run_protocol_stack(int threads) {
   RuntimeConfig cfg;
   cfg.num_ranks = 32;
@@ -382,23 +381,12 @@ void run_protocol_stack(int threads) {
   lb::LbManager manager{rt, "tempered", params};
   auto const report = manager.invoke(input, store);
   EXPECT_GT(report.cost.migration_count, 0u); // migration plane exercised
-
-  // Termination-detection waves ride the same envelopes.
-  TerminationDetector det{rt};
-  det.post(0, [&det](RankContext& ctx) {
-    for (RankId r = 0; r < ctx.num_ranks(); ++r) {
-      det.send(ctx, r, 8, [](RankContext&) {});
-    }
-  });
-  det.start();
-  rt.run_until_quiescent();
-  EXPECT_TRUE(det.terminated());
 }
 
-TEST(MessagePlane, ProtocolStackMigratesAndTerminatesSequential) {
+TEST(MessagePlane, ProtocolStackMigratesSequential) {
   run_protocol_stack(1);
 }
-TEST(MessagePlane, ProtocolStackMigratesAndTerminatesThreaded) {
+TEST(MessagePlane, ProtocolStackMigratesThreaded) {
   run_protocol_stack(4);
 }
 

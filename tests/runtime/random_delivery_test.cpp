@@ -4,7 +4,6 @@
 
 #include "runtime/collectives.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/termination.hpp"
 
 namespace tlb::rt {
 namespace {
@@ -82,23 +81,21 @@ TEST(RandomDelivery, AllreduceStillCorrect) {
   }
 }
 
-TEST(RandomDelivery, TerminationDetectorStillCertifies) {
+TEST(RandomDelivery, FanOutRunsEveryCountedMessage) {
   Runtime rt{reorder_config(8)};
-  TerminationDetector det{rt};
   std::atomic<int> processed{0};
   for (RankId r = 0; r < 8; ++r) {
-    det.post(r, [&det, &processed](RankContext& ctx) {
+    rt.post(r, [&processed](RankContext& ctx) {
       ++processed;
       for (int i = 0; i < 3; ++i) {
-        det.send(ctx, (ctx.rank() + i) % 8, 4,
+        ctx.send((ctx.rank() + i) % 8, 4,
                  [&processed](RankContext&) { ++processed; });
       }
     });
   }
-  det.start();
   rt.run_until_quiescent();
-  EXPECT_TRUE(det.terminated());
-  EXPECT_EQ(det.certified_count(), processed.load());
+  EXPECT_EQ(processed.load(), 8 * 4);
+  EXPECT_EQ(rt.stats().messages, static_cast<std::size_t>(processed.load()));
 }
 
 TEST(RandomDelivery, ThreadedComposes) {

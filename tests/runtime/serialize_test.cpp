@@ -203,9 +203,9 @@ TEST(SerializeKnowledge, RoundTripPreservesEntries) {
     k.insert(static_cast<RankId>(i * 3), rng.uniform(0.0, 2.0));
   }
   Packer p;
-  k.pack_full(p);
-  // Byte accounting and serializer share one size function: exact match.
-  EXPECT_EQ(p.size(), k.wire_bytes());
+  k.pack(p, true);
+  // Ids 0, 3, 6, ... delta-code to gap 2: one varint byte each.
+  EXPECT_EQ(p.size(), 1 + 40 * (1 + sizeof(double)));
   Unpacker u{p.bytes()};
   auto const back = lb::Knowledge::unpack(u);
   EXPECT_TRUE(u.exhausted());
@@ -224,15 +224,17 @@ TEST(SerializeKnowledge, CompactEncodingBeatsTheOldStructCopy) {
   for (RankId r = 0; r < 256; ++r) {
     k.insert(r, 1.0);
   }
+  Packer p;
+  k.pack(p, true);
   std::size_t const old_format = 256 * sizeof(lb::KnownRank) + 8;
-  EXPECT_LT(k.wire_bytes(), old_format * 3 / 5);
+  EXPECT_LT(p.size(), old_format * 3 / 5);
 }
 
 TEST(SerializeKnowledge, EmptyKnowledge) {
-  lb::Knowledge const k;
+  lb::Knowledge k;
   Packer p;
-  k.pack_full(p);
-  EXPECT_EQ(p.size(), k.wire_bytes());
+  k.pack(p, true);
+  EXPECT_EQ(p.size(), 1u); // just the zero count
   Unpacker u{p.bytes()};
   EXPECT_TRUE(lb::Knowledge::unpack(u).empty());
 }
@@ -243,7 +245,7 @@ TEST(SerializeKnowledge, UnpackIntoReplacesContentsWithoutReallocating) {
     big.insert(r, 0.5);
   }
   Packer p;
-  big.pack_full(p);
+  big.pack(p, true);
 
   lb::Knowledge inbox = [] {
     lb::Knowledge k;
