@@ -56,10 +56,12 @@ enum class OrderKind : std::uint8_t {
 /// plane; see DESIGN.md "Gossip wire plane").
 ///   full:  every forward ships the rank's entire knowledge set — the
 ///          O(rounds x fanout x |S^p|) baseline of Algorithm 1.
-///   delta: each forward ships only entries new or changed since the
-///          rank's previous forwarding event (per-forward high-water
-///          mark over version stamps); the first forward and any forward
-///          after a truncation fall back to a full snapshot.
+///   delta: each forward ships only the run of entries the rank
+///          appended since its previous forwarding event; it ships a full
+///          snapshot instead whenever the knowledge owes one
+///          (Knowledge::owes_full(); in the inform plane that is an
+///          epoch's first forward and any forward after a truncation that
+///          dropped entries).
 enum class GossipWire : std::uint8_t { full, delta };
 
 /// Full parameterization of one inform+transfer pass. The named presets

@@ -71,7 +71,7 @@ LbManager::Report LbManager::invoke_internal(StrategyInput const& input,
   // the invocation carry the step they belong to.
   std::optional<obs::LbReportBuilder> builder;
   std::int64_t wall_start = 0;
-  rt::NetworkStatsSnapshot fault_base;
+  rt::NetworkStats fault_base;
   if (obs::enabled()) {
     obs::CausalLog::instance().set_step(
         static_cast<std::uint32_t>(report.phase));
@@ -124,14 +124,10 @@ LbManager::Report LbManager::invoke_internal(StrategyInput const& input,
     sample.lb_bytes = result.cost.lb_bytes;
     sample.lb_wall_us = obs::Tracer::instance().now_us() - wall_start;
     sample.aborted_rounds = result.aborted_rounds;
-    sample.faults_dropped =
-        fault_delta(&rt::NetworkStatsSnapshot::kind_dropped);
-    sample.faults_delayed =
-        fault_delta(&rt::NetworkStatsSnapshot::kind_delayed);
-    sample.faults_duplicated =
-        fault_delta(&rt::NetworkStatsSnapshot::kind_duplicated);
-    sample.faults_retried =
-        fault_delta(&rt::NetworkStatsSnapshot::kind_retried);
+    sample.faults_dropped = fault_delta(&rt::NetworkStats::kind_dropped);
+    sample.faults_delayed = fault_delta(&rt::NetworkStats::kind_delayed);
+    sample.faults_duplicated = fault_delta(&rt::NetworkStats::kind_duplicated);
+    sample.faults_retried = fault_delta(&rt::NetworkStats::kind_retried);
     if (decision != nullptr) {
       sample.policy = std::string{policy_name};
       sample.decision_reason = std::string{decision->reason};

@@ -4,7 +4,7 @@
 /// The three metric primitives of the telemetry registry: monotonic
 /// counters, gauges, and fixed-bucket histograms. All hot-path operations
 /// are relaxed atomics — the totals are only read at quiescent points
-/// (registry snapshot/export), mirroring the NetworkStats convention.
+/// (registry snapshot/export).
 ///
 /// Instances are owned by the Registry and handed out by stable
 /// reference; instrument a hot path by capturing the reference once, not
@@ -28,8 +28,8 @@ public:
   }
 
   /// Overwrite the value. Exists for folding externally maintained
-  /// counters (e.g. a NetworkStatsSnapshot) into a registry at snapshot
-  /// time; instrumented hot paths should only ever inc().
+  /// counters (e.g. the runtime's NetworkStats) into a registry at
+  /// snapshot time; instrumented hot paths should only ever inc().
   void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
 
   [[nodiscard]] std::uint64_t value() const {

@@ -55,7 +55,12 @@ std::vector<T> allreduce(Runtime& rt, std::vector<T> const& contributions,
 
   struct NodeState {
     T value{};
+    /// Arrivals still expected: the rank's own value plus one per child.
     int pending = 0;
+    /// Whether `value` holds an arrival yet. A delay fault can deliver a
+    /// child's value before the rank's own; whichever comes first seeds
+    /// the accumulator.
+    bool seeded = false;
     // Written only by this rank's broadcast_down handler, read by the
     // driver after quiescence (distinct location per rank: no race).
     char delivered = 0;
@@ -77,7 +82,8 @@ std::vector<T> allreduce(Runtime& rt, std::vector<T> const& contributions,
 
     void contribute(RankContext& ctx, T const& incoming) const {
       auto& node = (*state)[static_cast<std::size_t>(ctx.rank())];
-      node.value = op(node.value, incoming);
+      node.value = node.seeded ? op(node.value, incoming) : incoming;
+      node.seeded = true;
       if (--node.pending == 0) {
         finish(ctx);
       }
@@ -113,18 +119,16 @@ std::vector<T> allreduce(Runtime& rt, std::vector<T> const& contributions,
   };
 
   Proto const proto_block{&state, &results, op, bytes_per_item, p};
-  // One fan-out post, in which each rank reads its own contribution (its
+  for (RankId r = 0; r < p; ++r) {
+    state[static_cast<std::size_t>(r)].pending =
+        detail::tree_num_children(r, p) + 1;
+  }
+  // One fan-out post, in which each rank contributes its own value (its
   // local data in a distributed run): post_all accounts the P messages in
   // bulk where P separate posts would each touch the shared counters.
   rt.post_all([proto = &proto_block,
                mine = &contributions](RankContext& ctx) {
-    auto const r = static_cast<std::size_t>(ctx.rank());
-    auto& node = proto->state->at(r);
-    node.value = (*mine)[r];
-    node.pending = detail::tree_num_children(ctx.rank(), proto->p) + 1;
-    if (--node.pending == 0) {
-      proto->finish(ctx);
-    }
+    proto->contribute(ctx, (*mine)[static_cast<std::size_t>(ctx.rank())]);
   });
   bool const quiesced = rt.run_until_quiescent();
   if (complete != nullptr) {

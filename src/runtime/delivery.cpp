@@ -9,14 +9,10 @@ namespace tlb::rt {
 
 namespace {
 
-/// Fault-mode wire overhead: the item's sequence number, and an ack that
-/// is the sequence plus the outcome byte.
+/// Fault-mode wire overhead: the item's sequence number (origin << 32 |
+/// index), and an ack that is the sequence plus the outcome byte.
 constexpr std::size_t kSeqBytes = sizeof(std::uint64_t);
 constexpr std::size_t kAckBytes = kSeqBytes + 1;
-
-std::uint64_t sequence(RankId origin, std::uint32_t index) {
-  return (static_cast<std::uint64_t>(origin) << 32) | index;
-}
 
 } // namespace
 
@@ -26,8 +22,7 @@ DeliveryBatch::DeliveryBatch(Runtime& rt, MessageKind kind,
       kind_{kind},
       hooks_{hooks},
       resilient_{rt.fault_active()},
-      items_(static_cast<std::size_t>(rt.num_ranks())),
-      seen_(resilient_ ? static_cast<std::size_t>(rt.num_ranks()) : 0) {}
+      items_(static_cast<std::size_t>(rt.num_ranks())) {}
 
 void DeliveryBatch::add(RankId origin, RankId to, std::size_t bytes) {
   auto& row = items_[static_cast<std::size_t>(origin)];
@@ -82,8 +77,8 @@ void DeliveryBatch::attempt(RankContext& ctx, std::uint32_t index) {
 
 void DeliveryBatch::deliver(RankContext& ctx, RankId origin,
                             std::uint32_t index) {
+  Item& item = items_[static_cast<std::size_t>(origin)][index];
   if (!resilient_) {
-    Item& item = items_[static_cast<std::size_t>(origin)][index];
     if (hooks_.apply(ctx.rank(), origin, index)) {
       item.outcome = DeliveryOutcome::accepted;
       return;
@@ -96,20 +91,18 @@ void DeliveryBatch::deliver(RankContext& ctx, RankId origin,
         kind_);
     return;
   }
-  auto& decided = seen_[static_cast<std::size_t>(ctx.rank())];
-  std::uint64_t const seq = sequence(origin, index);
-  char const* const known = decided.find(seq);
-  char accepted;
-  if (known != nullptr) {
-    accepted = *known; // a duplicate or a retry: replay, don't re-apply
-  } else {
-    accepted = hooks_.apply(ctx.rank(), origin, index) ? 1 : 0;
-    decided.insert(seq, accepted);
+  // A duplicate or a retry finds the recorded outcome: replay, don't
+  // re-apply.
+  if (item.decided == DeliveryOutcome::pending) {
+    item.decided = hooks_.apply(ctx.rank(), origin, index)
+                       ? DeliveryOutcome::accepted
+                       : DeliveryOutcome::rejected;
   }
+  bool const accepted = item.decided == DeliveryOutcome::accepted;
   ctx.send(
       origin, kAckBytes,
       [batch = this, index, accepted](RankContext& back) {
-        batch->resolve(back.rank(), index, accepted != 0);
+        batch->resolve(back.rank(), index, accepted);
       },
       kind_);
 }
@@ -133,18 +126,15 @@ DeliveryBatch::Settlement DeliveryBatch::settle() {
 
   // Timeout = quiescence with the ack missing: that leg was provably lost.
   // Resend with exponential backoff until acked or out of attempts.
-  RetryPolicy const& retry = rt_.config().retry;
-  int const max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
   for (bool retried = resilient_; retried;) {
     retried = false;
     for_each_pending([&](RankId origin, std::uint32_t index, Item& item) {
-      if (item.attempts >= max_attempts) {
+      if (item.attempts >= kMaxDeliveryAttempts) {
         return;
       }
       std::uint64_t const backoff = std::min(
-          retry.backoff_base_polls
-              << (static_cast<unsigned>(item.attempts) - 1u),
-          retry.max_backoff_polls);
+          kBackoffBasePolls << (static_cast<unsigned>(item.attempts) - 1u),
+          kMaxBackoffPolls);
       ++item.attempts;
       rt_.record_retry(kind_);
       post_attempt(origin, index, backoff);
@@ -157,19 +147,17 @@ DeliveryBatch::Settlement DeliveryBatch::settle() {
 
   // Reconcile at this quiescent point. The destination's record is ground
   // truth: accepted there means only the acks were lost. Anything not
-  // provably accepted goes back to its origin.
+  // provably accepted goes back to its origin; an item with no record
+  // (always so fault-free) is lost.
   for_each_pending([&](RankId origin, std::uint32_t index, Item& item) {
     ++settled.exhausted;
-    char const* const record =
-        resilient_ ? seen_[static_cast<std::size_t>(item.to)].find(
-                         sequence(origin, index))
-                   : nullptr;
-    if (record != nullptr && *record != 0) {
+    if (item.decided == DeliveryOutcome::accepted) {
       item.outcome = DeliveryOutcome::accepted;
       return;
     }
-    item.outcome =
-        record != nullptr ? DeliveryOutcome::rejected : DeliveryOutcome::lost;
+    item.outcome = item.decided == DeliveryOutcome::rejected
+                       ? DeliveryOutcome::rejected
+                       : DeliveryOutcome::lost;
     hooks_.give_back(origin, index);
   });
   return settled;

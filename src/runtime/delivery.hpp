@@ -15,30 +15,39 @@
 /// one message of its own bytes and a rejection bounces one message of
 /// the same size back: no acks, no retries, the message pattern the
 /// goldens pin. Under a fault plane an item also carries an 8-byte
-/// sequence number (origin << 32 | index); the destination records each
-/// outcome it decides, replays it for a duplicate or retry instead of
-/// applying again, and answers with a 9-byte ack. Unacked items are
-/// resent with capped exponential backoff (rt.config().retry), then
-/// reconciled against the destination's record (DESIGN.md "Resilient
-/// protocols").
+/// sequence number (origin << 32 | index); the destination records the
+/// outcome it decides in the item, replays it for a duplicate or retry
+/// instead of applying again, and answers with a 9-byte ack. Unacked
+/// items are resent with capped exponential backoff (the constants
+/// below), then reconciled against the destination's record (DESIGN.md
+/// "Resilient protocols").
 ///
 /// Lifetime and threading. Messages carry a trivially copyable {batch,
 /// origin, index} closure, so the batch must stay alive, and in place,
 /// until settle()'s last run_until_quiescent returns. Each origin adds all
 /// its items before its first send and never again. An item's outcome has
 /// one writer per mode (the destination on a fault-free accept, otherwise
-/// the origin's reply handler); the driver touches items only at
-/// quiescent points.
+/// the origin's reply handler), and its fault-mode record has one, the
+/// destination's handlers; the driver touches items only at quiescent
+/// points.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "runtime/runtime.hpp"
-#include "support/seq_outcome_map.hpp"
 #include "support/types.hpp"
 
 namespace tlb::rt {
+
+/// Fault-mode retry schedule. An item is sent at most kMaxDeliveryAttempts
+/// times, the first send included; an item still unacked after the last
+/// is settled from the destination's record. Attempt k's resend is parked
+/// for kBackoffBasePolls << (k-1) drain polls of its origin, capped at
+/// kMaxBackoffPolls.
+inline constexpr int kMaxDeliveryAttempts = 4;
+inline constexpr std::uint64_t kBackoffBasePolls = 8;
+inline constexpr std::uint64_t kMaxBackoffPolls = 1024;
 
 /// What an item does at its two ends.
 class DeliveryHooks {
@@ -105,6 +114,10 @@ private:
     /// Sends so far, the first included (read and written by the driver).
     int attempts = 1;
     DeliveryOutcome outcome = DeliveryOutcome::pending;
+    /// Fault mode: what the destination decided, accepted or rejected
+    /// (pending until it first applies the item). Written only by `to`'s
+    /// handlers; settle() reads it at quiescent points.
+    DeliveryOutcome decided = DeliveryOutcome::pending;
   };
 
   /// Origin side: one send of `index` from ctx.rank().
@@ -125,9 +138,6 @@ private:
   bool resilient_;
   /// items_[origin][index]; each row is grown only by its origin.
   std::vector<std::vector<Item>> items_;
-  /// seen_[dest]: sequence -> outcome for every item dest decided; touched
-  /// only by dest's handlers until settle() reconciles. Fault mode only.
-  std::vector<SeqOutcomeMap> seen_;
 };
 
 } // namespace tlb::rt

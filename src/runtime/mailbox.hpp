@@ -7,11 +7,12 @@
 ///
 /// The queue is two-stage to keep the producer/consumer critical sections
 /// O(1): producers push (single messages or whole coalesced batches) into
-/// `queue_` under the mutex; the consumer *swap-drains* — it exchanges the
-/// entire producer vector for its private, lock-free `stash_` in one O(1)
-/// swap and then serves batches from the stash (a cursor walk, no
-/// pop_front shuffling) outside the lock. FIFO order is preserved because
-/// the stash always holds strictly older messages than the producer queue.
+/// `queue_` under the lock; the consumer claims the producer backlog into
+/// its private, lock-free `stash_` (an O(1) swap whenever the stash has
+/// run dry) and runs the handlers on the stashed envelopes in place, a
+/// cursor walk outside the lock. FIFO order is preserved because the stash
+/// always holds strictly older messages than the producer queue. Both
+/// drivers drain through the one entry point, consume_batch().
 ///
 /// Both stages are vectors, deliberately: the two buffers ping-pong
 /// through the swap, so whatever capacity the backlog ever needed stays
@@ -39,7 +40,6 @@
 
 #include "runtime/message.hpp"
 #include "support/spinlock.hpp"
-#include "support/rng.hpp"
 
 namespace tlb::rt {
 
@@ -91,7 +91,7 @@ public:
   /// FIFO is preserved by folding any pending producer-queue content
   /// (older by definition: driver posts or released delayed messages) into
   /// the stash first, which also keeps the stash-older-than-queue
-  /// invariant the drain paths rely on. Returns the post-push depth.
+  /// invariant consume_batch relies on. Returns the post-push depth.
   std::size_t push_consumer(Envelope&& env) TLB_EXCLUDES(lock_) {
     if (queue_size_.load(std::memory_order_acquire) > 0) {
       SpinLockGuard lock{lock_};
@@ -106,73 +106,20 @@ public:
     return depth;
   }
 
-  /// Pop up to `max_items` messages in FIFO order into `out` (appended).
-  /// Returns the number popped. max_items == 0 means drain everything.
-  std::size_t pop_batch(std::vector<Envelope>& out, std::size_t max_items)
-      TLB_EXCLUDES(lock_) {
-    return drain(out, max_items, /*release_now=*/0, /*do_release=*/false,
-                 nullptr);
-  }
-
-  /// The consumer's combined drain: optionally release due delayed
-  /// messages, then pop up to `max_items` in FIFO order — one mutex
-  /// acquisition for the whole visit (zero when the stash already holds a
-  /// full batch and no release is pending). `released`, when non-null,
-  /// receives the number of delayed messages moved into the FIFO.
-  std::size_t drain(std::vector<Envelope>& out, std::size_t max_items,
-                    std::uint64_t release_now, bool do_release,
-                    std::size_t* released) TLB_EXCLUDES(lock_) {
-    auto const limit = max_items == 0
-                           ? std::numeric_limits<std::size_t>::max()
-                           : max_items;
-    std::size_t taken = take_from_stash(out, limit);
-    // The lock is only worth taking when there is (or may be) producer
-    // queue content to claim or a delayed release to run; the atomic size
-    // mirror makes that check lock-free. A racing producer whose push we
-    // miss here is caught on the next visit — the in-flight counter was
-    // incremented before the push, so the quiescence loop keeps sweeping.
-    if (do_release ||
-        (taken < limit &&
-         queue_size_.load(std::memory_order_acquire) > 0)) {
-      {
-        SpinLockGuard lock{lock_};
-        if (do_release) {
-          auto const n = release_locked(release_now);
-          if (released != nullptr) {
-            *released = n;
-          }
-        }
-        if (taken < limit && !queue_.empty()) {
-          // The stash is necessarily exhausted here (we only reach the
-          // swap after draining it, which resets it to empty), so this
-          // O(1) exchange grabs the entire producer backlog — and hands
-          // the stash's grown capacity back to the producers — without
-          // moving a single envelope under the lock.
-          stash_.swap(queue_);
-          stash_pos_ = 0;
-          queue_size_.store(0, std::memory_order_relaxed);
-        } else if (do_release) {
-          queue_size_.store(queue_.size(), std::memory_order_relaxed);
-        }
-      }
-      taken += take_from_stash(out, limit - taken);
-    }
-    stash_size_.store(stash_.size() - stash_pos_, std::memory_order_relaxed);
-    return taken;
-  }
-
-  /// Sequential-driver fast path: run `fn` on up to `max_items` pending
-  /// messages *in place*, without staging the batch through a scratch
-  /// vector — the stash→scratch→handler round trip doubles the memory
-  /// traffic of every delivery and is the hottest store in the sequential
-  /// profile. Combined-release semantics match drain(): due delayed
-  /// messages are folded in before any handler runs, and only messages
-  /// pending at that point are eligible this visit — self-sends appended
-  /// by the handlers wait for the next visit, exactly as when the batch
-  /// was claimed up front. The loop indexes the stash afresh on every
-  /// step because a handler's push_consumer may reallocate it mid-visit.
-  /// Only legal on the consumer thread; a racing producer push that the
-  /// claim misses is caught on the next visit, same as drain().
+  /// The consumer's drain visit, shared by both drivers: release due
+  /// delayed messages (when `do_release`), claim the producer backlog, then
+  /// run `fn` on up to `max_items` (0 = all) pending envelopes in place, in
+  /// FIFO order, with no staging copy. The lock is taken only when a
+  /// release is due or the stash holds less than a batch while producer
+  /// messages wait; `released`, when non-null, receives the number of
+  /// delayed messages moved into the FIFO. Only messages pending once the
+  /// claim is made are eligible this visit: envelopes a handler appends
+  /// with push_consumer (the sequential driver's self-sends) wait for the
+  /// next visit. The loop indexes the stash afresh on every step because
+  /// such a push may reallocate it. Only legal on the consumer thread; a
+  /// racing producer push that the claim misses is caught on the next
+  /// visit, because the in-flight counter was incremented before the push
+  /// and the quiescence loop keeps sweeping.
   template <typename Fn>
   std::size_t consume_batch(std::size_t max_items, std::uint64_t release_now,
                             bool do_release, std::size_t* released, Fn&& fn)
@@ -180,7 +127,9 @@ public:
     auto const limit = max_items == 0
                            ? std::numeric_limits<std::size_t>::max()
                            : max_items;
-    if (do_release || queue_size_.load(std::memory_order_acquire) > 0) {
+    if (do_release ||
+        (stash_.size() - stash_pos_ < limit &&
+         queue_size_.load(std::memory_order_acquire) > 0)) {
       SpinLockGuard lock{lock_};
       if (do_release) {
         auto const n = release_locked(release_now);
@@ -205,12 +154,14 @@ public:
         queue_size_.store(0, std::memory_order_relaxed);
       }
     }
-    std::size_t const take = std::min(limit, stash_.size() - stash_pos_);
+    std::size_t const pending = stash_.size() - stash_pos_;
+    std::size_t const take = std::min(limit, pending);
+    // Published once per visit: producers' depth reads see what stays
+    // pending behind this batch.
+    stash_size_.store(pending - take, std::memory_order_relaxed);
     for (std::size_t i = 0; i < take; ++i) {
       Envelope env = std::move(stash_[stash_pos_]);
       ++stash_pos_;
-      stash_size_.store(stash_.size() - stash_pos_,
-                        std::memory_order_relaxed);
       fn(env);
     }
     if (stash_pos_ == stash_.size()) {
@@ -228,67 +179,10 @@ public:
     return take;
   }
 
-  /// Fault-injection variant of pop_batch: each popped message is chosen
-  /// uniformly from the queue instead of from the front, modeling a
-  /// network that reorders deliveries. The swap-with-back draw sequence is
-  /// load-bearing: tests rely on it being deterministic per seed. Takes
-  /// the same combined-release parameters as drain() so the runtime's
-  /// random-delivery visit is also a single lock acquisition.
-  std::size_t pop_batch_random(std::vector<Envelope>& out,
-                               std::size_t max_items, Rng& rng,
-                               std::uint64_t release_now = 0,
-                               bool do_release = false,
-                               std::size_t* released = nullptr)
-      TLB_EXCLUDES(lock_) {
-    SpinLockGuard lock{lock_};
-    if (do_release) {
-      auto const n = release_locked(release_now);
-      if (released != nullptr) {
-        *released = n;
-      }
-    }
-    // Fold any swap-drained leftovers back in front so the draw sees the
-    // full queue (only reachable when a run mixes FIFO and random visits;
-    // the stash is consumer-private, and this is the consumer).
-    if (stash_pos_ < stash_.size()) {
-      queue_.insert(queue_.begin(),
-                    std::make_move_iterator(stash_.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                stash_pos_)),
-                    std::make_move_iterator(stash_.end()));
-    }
-    stash_.clear();
-    stash_pos_ = 0;
-    stash_size_.store(0, std::memory_order_relaxed);
-    std::size_t n = queue_.size();
-    if (max_items != 0) {
-      n = std::min(n, max_items);
-    }
-    out.reserve(out.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto const pick = rng.index(queue_.size());
-      using std::swap;
-      swap(queue_[pick], queue_.back());
-      out.push_back(std::move(queue_.back()));
-      queue_.pop_back();
-    }
-    queue_size_.store(queue_.size(), std::memory_order_relaxed);
-    return n;
-  }
-
   /// Park a message until the rank's drain-visit counter reaches `due`.
   void push_delayed(Envelope&& env, std::uint64_t due) TLB_EXCLUDES(lock_) {
     SpinLockGuard lock{lock_};
     delayed_.push_back(Delayed{std::move(env), due});
-  }
-
-  /// Move every delayed message with due <= now into the FIFO (appended in
-  /// parking order). Returns the number released.
-  std::size_t release_due(std::uint64_t now) TLB_EXCLUDES(lock_) {
-    SpinLockGuard lock{lock_};
-    auto const n = release_locked(now);
-    queue_size_.store(queue_.size(), std::memory_order_relaxed);
-    return n;
   }
 
   /// Drain everything — queued, stashed, and delayed alike, due or not —
@@ -337,11 +231,6 @@ public:
            stash_size_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::size_t delayed_size() const TLB_EXCLUDES(lock_) {
-    SpinLockGuard lock{lock_};
-    return delayed_.size();
-  }
-
 private:
   struct Delayed {
     Envelope env;
@@ -362,27 +251,6 @@ private:
       }
     }
     return released;
-  }
-
-  /// Consumer-private, lock-free: move up to `want` stash messages into
-  /// `out`; returns the number moved. Resets the stash to empty (keeping
-  /// its capacity for the next swap) once the cursor reaches the end.
-  std::size_t take_from_stash(std::vector<Envelope>& out, std::size_t want) {
-    std::size_t taken = 0;
-    if (want > 0 && stash_pos_ < stash_.size()) {
-      auto const avail = stash_.size() - stash_pos_;
-      taken = std::min(want, avail);
-      out.reserve(out.size() + taken);
-      for (std::size_t i = 0; i < taken; ++i) {
-        out.push_back(std::move(stash_[stash_pos_ + i]));
-      }
-      stash_pos_ += taken;
-      if (stash_pos_ == stash_.size()) {
-        stash_.clear();
-        stash_pos_ = 0;
-      }
-    }
-    return taken;
   }
 
   mutable SpinLock lock_;

@@ -91,8 +91,9 @@ public:
   /// migration. Under an active fault plane each payload send carries a
   /// sequence number and is acknowledged, deduplicated at the receiver (a
   /// duplicated commit is a no-op), and resent while unacked with bounded
-  /// exponential backoff per rt.config().retry. A migration that never
-  /// reached its destination is rolled back: the payload is reinstated at
+  /// exponential backoff (kMaxDeliveryAttempts and the backoff constants
+  /// in runtime/delivery.hpp). A migration that never reached its
+  /// destination is rolled back: the payload is reinstated at
   /// the origin, the directory keeps the origin as owner, and the
   /// migration is reported through failed_migrations().
   std::size_t migrate(Runtime& rt, std::vector<Migration> const& migrations);

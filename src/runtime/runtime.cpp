@@ -131,29 +131,24 @@ void Runtime::post_all(Handler const& handler) {
     }
     return;
   }
-  // Fault-free fast path: one bulk in-flight/audit update and one stats
-  // fold for the whole fanout instead of P rounds of hot atomics.
+  // Fault-free fast path: one bulk in-flight/audit update for the whole
+  // fanout instead of P rounds of hot atomics.
   auto const p = static_cast<std::size_t>(num_ranks());
   add_in_flight(static_cast<std::int64_t>(p));
   TLB_AUDIT_BLOCK {
     audit_enqueued_.fetch_add(p, std::memory_order_relaxed);
   }
   bool const consumer = config_.num_threads <= 1;
-  LocalNetworkStats local;
   for (RankId r = 0; r < num_ranks(); ++r) {
-    local.record_send(false, 0, MessageKind::other);
+    stats_.record_send(false, 0, MessageKind::other);
     auto& mailbox = mailboxes_[static_cast<std::size_t>(r)];
     Envelope env{invalid_rank, r, handler.clone(), MessageKind::other};
     if (obs::enabled()) {
       stamp_causal(env, invalid_rank, nullptr, 0);
     }
-    auto const depth = consumer ? mailbox.push_consumer(std::move(env))
-                                : mailbox.push(std::move(env));
-    if (depth > local.max_mailbox_depth) {
-      local.max_mailbox_depth = depth;
-    }
+    stats_.record_mailbox_depth(consumer ? mailbox.push_consumer(std::move(env))
+                                         : mailbox.push(std::move(env)));
   }
-  stats_.fold(local);
 }
 
 void Runtime::post_delayed(RankId to, Handler handler,
@@ -188,15 +183,17 @@ void Runtime::enqueue(Envelope&& env, SendCoalescer* coalescer) {
   TLB_EXPECTS(env.to >= 0 && env.to < num_ranks());
   if (fault_ != nullptr && !env.fault_exempt) {
     FaultDecision const decision = fault_->on_send(env.from, env.to, env.kind);
+    // The sending loop's own block: a handler's coalescer, or the driver's.
+    NetworkStats& stats = coalescer != nullptr ? coalescer->stats_ : stats_;
     switch (decision.action) {
     case FaultAction::drop:
       // Refused before it was ever in flight: quiescence is unaffected,
       // only the per-kind drop counter remembers it.
-      stats_.record_drop(env.kind);
+      stats.record_drop(env.kind);
       TLB_INSTANT_ARG("fault", "drop", "kind", static_cast<int>(env.kind));
       return;
     case FaultAction::duplicate: {
-      stats_.record_duplicate(env.kind);
+      stats.record_duplicate(env.kind);
       TLB_INSTANT_ARG("fault", "duplicate", "kind",
                       static_cast<int>(env.kind));
       Envelope clone{env.from, env.to, env.handler.clone(), env.kind,
@@ -212,7 +209,7 @@ void Runtime::enqueue(Envelope&& env, SendCoalescer* coalescer) {
       // Delays park in the mailbox's delay queue directly: coalescing
       // would defeat the fault's purpose (reordering relative to the
       // sender's later messages).
-      stats_.record_delay(env.kind);
+      stats.record_delay(env.kind);
       TLB_INSTANT_ARG("fault", "delay", "kind", static_cast<int>(env.kind));
       add_in_flight(1);
       TLB_AUDIT_BLOCK {
@@ -245,11 +242,9 @@ void Runtime::enqueue_direct(Envelope&& env, SendCoalescer* coalescer) {
       // delivery order is exactly eager-push order, bit-identical to the
       // historical sequential schedule.
       ++coalescer->pending_;
-      auto const depth = mailboxes_[static_cast<std::size_t>(env.to)]
-                             .push_consumer(std::move(env));
-      if (depth > coalescer->stats_.max_mailbox_depth) {
-        coalescer->stats_.max_mailbox_depth = depth;
-      }
+      coalescer->stats_.record_mailbox_depth(
+          mailboxes_[static_cast<std::size_t>(env.to)].push_consumer(
+              std::move(env)));
       return;
     }
     coalescer->append(std::move(env));
@@ -307,18 +302,17 @@ Rng& Runtime::rank_rng(RankId rank) {
   return rank_rngs_[static_cast<std::size_t>(rank)];
 }
 
-void Runtime::purge_rank(RankId rank, std::vector<Envelope>& scratch) {
-  scratch.clear();
+void Runtime::purge_rank(RankId rank, NetworkStats& stats) {
+  std::vector<Envelope> purged;
   std::size_t delayed_removed = 0;
   auto const n = mailboxes_[static_cast<std::size_t>(rank)].drain_all(
-      scratch, &delayed_removed);
+      purged, &delayed_removed);
   if (n == 0) {
     return;
   }
-  for (Envelope const& env : scratch) {
-    stats_.record_drop(env.kind);
+  for (Envelope const& env : purged) {
+    stats.record_drop(env.kind);
   }
-  scratch.clear();
   if (delayed_removed > 0) {
     delayed_pending_.fetch_sub(static_cast<std::int64_t>(delayed_removed),
                                std::memory_order_relaxed);
@@ -330,9 +324,8 @@ void Runtime::purge_rank(RankId rank, std::vector<Envelope>& scratch) {
 }
 
 void Runtime::flush_all() {
-  std::vector<Envelope> scratch;
   for (RankId r = 0; r < num_ranks(); ++r) {
-    purge_rank(r, scratch);
+    purge_rank(r, stats_);
   }
 }
 
@@ -345,7 +338,6 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
   auto const poll =
       polls_[slot].value.load(std::memory_order_relaxed) + 1;
   polls_[slot].value.store(poll, std::memory_order_relaxed);
-  auto& mailbox = mailboxes_[slot];
   if (fault_ != nullptr) {
     switch (fault_->on_drain(rank, poll)) {
     case DrainGate::open:
@@ -353,66 +345,41 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
     case DrainGate::stalled:
       return 0; // transient: messages wait, quiescence keeps spinning
     case DrainGate::crashed:
-      purge_rank(rank, worker.scratch);
+      purge_rank(rank, worker.coalescer.stats_);
       return 0;
     }
   }
-  // The whole visit — releasing due delayed messages and claiming the
-  // batch — is a single mailbox lock acquisition (zero when the consumer
-  // stash already holds a full batch and no delays are pending).
+  // Handlers consume straight out of the mailbox stash on both drivers:
+  // the sequential driver, or the worker holding this rank's shard, is the
+  // mailbox's only consumer, so no envelope is staged through a
+  // per-worker buffer. The whole visit (releasing due delayed messages and claiming
+  // the backlog) takes at most one mailbox lock. The drain span is opened
+  // lazily so empty polls stay span-free.
   bool const need_release =
       delayed_pending_.load(std::memory_order_acquire) > 0;
   std::size_t released = 0;
-  std::size_t n = 0;
   RankContext ctx{*this, rank, &worker.coalescer};
-  if (config_.random_delivery) {
-    worker.scratch.clear();
-    n = mailbox.pop_batch_random(worker.scratch, batch, rank_rng(rank),
-                                 poll, need_release, &released);
-  } else if (config_.num_threads <= 1) {
-    // Sequential in-place delivery: handlers consume straight out of the
-    // mailbox stash, skipping the stash→scratch staging copy (one full
-    // envelope move per message, the hottest store in the sequential
-    // profile). Delivery order is identical to the staged path — the
-    // batch is fixed before the first handler runs. The drain span is
-    // opened lazily so empty polls stay span-free.
-    std::optional<obs::SpanGuard> span;
-    n = mailbox.consume_batch(batch, poll, need_release, &released,
-                              [&](Envelope& env) {
-                                if (!span) {
-                                  span.emplace("rt", "drain");
-                                }
-                                if (obs::enabled()) {
-                                  consume_traced(env, ctx);
-                                  return;
-                                }
-                                env.handler.consume(ctx);
-                              });
-    if (span) {
-      span->set_arg("n", static_cast<double>(n));
-    }
-  } else {
-    worker.scratch.clear();
-    n = mailbox.drain(worker.scratch, batch, poll, need_release, &released);
+  std::optional<obs::SpanGuard> span;
+  std::size_t const n = mailboxes_[slot].consume_batch(
+      batch, poll, need_release, &released, [&](Envelope& env) {
+        if (!span) {
+          span.emplace("rt", "drain");
+        }
+        if (obs::enabled()) {
+          consume_traced(env, ctx);
+          return;
+        }
+        env.handler.consume(ctx); // invoke + destroy in one dispatch
+      });
+  if (span) {
+    span->set_arg("n", static_cast<double>(n));
   }
   if (released > 0) {
     delayed_pending_.fetch_sub(static_cast<std::int64_t>(released),
                                std::memory_order_relaxed);
   }
   if (n == 0) {
-    return 0; // empty poll: keep the spin loop span-free
-  }
-  if (!worker.scratch.empty()) {
-    TLB_SPAN_ARG("rt", "drain", "n", n);
-    if (obs::enabled()) {
-      for (Envelope& env : worker.scratch) {
-        consume_traced(env, ctx);
-      }
-    } else {
-      for (Envelope& env : worker.scratch) {
-        env.handler.consume(ctx); // invoke + destroy in one dispatch
-      }
-    }
+    return 0;
   }
   // Flush the batch's coalesced sends before retiring the batch from the
   // in-flight counter: buffered messages were counted at append time, so
@@ -435,7 +402,7 @@ std::size_t Runtime::drain_rank(RankId rank, WorkerState& worker,
 }
 
 bool Runtime::run_until_quiescent() {
-  return run_until_quiescent(config_.retry.quiesce_poll_budget);
+  return run_until_quiescent(config_.quiesce_poll_budget);
 }
 
 bool Runtime::run_until_quiescent(std::size_t max_polls) {
@@ -445,6 +412,12 @@ bool Runtime::run_until_quiescent(std::size_t max_polls) {
     run_sequential(max_polls);
   } else {
     run_threaded(max_polls);
+  }
+  // No handler runs any more: every driver loop's counters join the
+  // runtime's own.
+  for (WorkerState& worker : worker_states_) {
+    stats_.fold(worker.coalescer.stats_);
+    worker.coalescer.stats_ = NetworkStats{};
   }
   bool const aborted = abort_.load(std::memory_order_relaxed);
   if (aborted) {
@@ -500,8 +473,6 @@ void Runtime::run_sequential(std::size_t max_polls) {
       break;
     }
   }
-  stats_.fold(worker.coalescer.stats_);
-  worker.coalescer.stats_ = LocalNetworkStats{};
 }
 
 void Runtime::run_threaded(std::size_t max_polls) {
@@ -577,23 +548,17 @@ void Runtime::run_threaded(std::size_t max_polls) {
   for (std::thread& t : pool) {
     t.join();
   }
-  for (int w = 0; w < workers; ++w) {
-    auto& state = worker_state(static_cast<std::size_t>(w));
-    stats_.fold(state.coalescer.stats_);
-    state.coalescer.stats_ = LocalNetworkStats{};
-  }
 }
 
 Runtime::WorkerState& Runtime::worker_state(std::size_t index) {
   while (worker_states_.size() <= index) {
-    worker_states_.emplace_back(static_cast<std::size_t>(num_ranks()),
-                                static_cast<std::size_t>(config_.batch));
+    worker_states_.emplace_back(static_cast<std::size_t>(num_ranks()));
   }
   return worker_states_[index];
 }
 
 void Runtime::publish_metrics(obs::Registry& registry) const {
-  auto const s = stats_.snapshot();
+  NetworkStats const& s = stats_;
   registry.counter("net.messages").set(s.messages);
   registry.counter("net.bytes").set(s.bytes);
   registry.counter("net.local_messages").set(s.local_messages);

@@ -58,9 +58,10 @@ class Runtime;
 /// Buffering is what lets the per-message bookkeeping go batch-granular:
 /// appended messages are counted into the in-flight counter in one bulk
 /// add at flush time (safe because the batch whose handlers produced them
-/// has not been retired yet), and traffic statistics accumulate in a
-/// run-private LocalNetworkStats folded into the shared counters once per
-/// run. The hot send path is thereby free of atomics entirely.
+/// has not been retired yet), and traffic statistics accumulate in the
+/// driver loop's own NetworkStats block, which the runtime folds into its
+/// totals once per run. The hot send path is thereby free of atomics
+/// entirely.
 ///
 /// Deliberately outside the thread-safety annotation discipline
 /// (support/thread_annotations.hpp): the coalescer is thread-confined by
@@ -114,8 +115,10 @@ private:
   /// Messages appended (and not yet counted in flight) since the last
   /// flush.
   std::size_t pending_ = 0;
-  /// Run-private traffic counters (folded by the runtime at run end).
-  LocalNetworkStats stats_;
+  /// This driver loop's traffic counters: its handlers' sends, the fault
+  /// plane's decisions on them, its coalesced flushes and its crash
+  /// purges (folded by the runtime at run end).
+  NetworkStats stats_;
 };
 
 /// Execution context passed to every handler: identifies the rank the
@@ -191,8 +194,8 @@ public:
   /// Drive all ranks until global quiescence: every posted and sent
   /// message has been processed and no handler is executing.
   ///
-  /// `max_polls` (0 = unlimited; default from config().retry.quiesce_poll_
-  /// budget) bounds the number of full sweeps over the rank set. If the
+  /// `max_polls` (0 = unlimited; default config().quiesce_poll_budget)
+  /// bounds the number of full sweeps over the rank set. If the
   /// budget expires with work still in flight, everything still queued is
   /// flushed (counted as dropped per kind) and the call returns false —
   /// the liveness valve the LB round-abort path is built on. Returns true
@@ -200,10 +203,9 @@ public:
   bool run_until_quiescent();
   bool run_until_quiescent(std::size_t max_polls);
 
-  [[nodiscard]] NetworkStatsSnapshot stats() const {
-    return stats_.snapshot();
-  }
-  void reset_stats() { stats_.reset(); }
+  /// The traffic counters as of the last quiescent point.
+  [[nodiscard]] NetworkStats stats() const { return stats_; }
+  void reset_stats() { stats_ = NetworkStats{}; }
 
   /// Fold the current network counters into a telemetry registry as
   /// `net.*` metrics (per-category message/byte counters, coalescing
@@ -266,15 +268,14 @@ private:
     std::atomic<std::uint64_t> value{0};
   };
 
-  /// Per-driver-loop scratch: the drain batch buffer plus the sender-side
-  /// coalescing buckets. One per worker thread (and one for the
-  /// sequential driver), allocated once per run.
-  struct WorkerState {
-    explicit WorkerState(std::size_t num_ranks, std::size_t batch)
-        : coalescer{num_ranks} {
-      scratch.reserve(batch);
-    }
-    std::vector<Envelope> scratch;
+  /// Per-driver-loop state: the sender-side coalescing buckets and the
+  /// loop's traffic counters. One per worker thread (and one for the
+  /// sequential driver), kept across runs. Cache-line aligned, so one
+  /// worker's counters never share a line with the next worker's
+  /// coalescer heads (that false sharing showed in the 8-worker
+  /// BM_MessageThroughput).
+  struct alignas(64) WorkerState {
+    explicit WorkerState(std::size_t num_ranks) : coalescer{num_ranks} {}
     SendCoalescer coalescer;
   };
 
@@ -324,30 +325,34 @@ private:
   /// locked batch per dirty destination.
   void flush_coalesced(SendCoalescer& coalescer);
   /// Drop a crashed rank's entire mailbox (queued + delayed), accounting
-  /// every message as dropped so in-flight still reaches zero.
-  void purge_rank(RankId rank, std::vector<Envelope>& scratch);
+  /// every message as dropped in `stats` (the calling loop's block) so
+  /// in-flight still reaches zero.
+  void purge_rank(RankId rank, NetworkStats& stats);
   /// Budget-expiry flush: purge every mailbox. Only called when no
   /// handler is executing (sequential driver, or after workers joined).
   void flush_all();
   void run_sequential(std::size_t max_polls);
   void run_threaded(std::size_t max_polls);
-  /// Per-worker scratch, created on first use and persisted across runs so
-  /// bucket/stash/batch capacities amortize to zero steady-state
-  /// allocations (index 0 doubles as the sequential driver's state).
+  /// Per-worker state, created on first use and persisted across runs so
+  /// bucket capacities amortize to zero steady-state allocations (index 0
+  /// doubles as the sequential driver's state).
   WorkerState& worker_state(std::size_t index);
-  /// One drain visit of `rank`: release due delayed messages and pop up
-  /// to `batch` envelopes under a single mailbox lock, run the handlers,
-  /// flush their coalesced sends, then retire the batch from the
-  /// in-flight counter. Returns the number of handlers run.
+  /// One drain visit of `rank`, the same on both drivers: release due
+  /// delayed messages and claim the backlog under at most one mailbox
+  /// lock, run up to `batch` handlers in place, flush their coalesced
+  /// sends, then retire the batch from the in-flight counter. Returns the
+  /// number of handlers run.
   std::size_t drain_rank(RankId rank, WorkerState& worker, std::size_t batch);
 
   RuntimeConfig config_;
   std::vector<Mailbox> mailboxes_;
-  /// Lazily-created per-worker scratch (see worker_state()). Only touched
+  /// Lazily-created per-worker state (see worker_state()). Only touched
   /// by the driver between runs and by each worker's own thread during
   /// one.
   std::vector<WorkerState> worker_states_;
   std::vector<Rng> rank_rngs_;
+  /// The driver thread's counters (posts, retries, abort flushes), and the
+  /// totals once every worker's block is folded in at the end of a run.
   NetworkStats stats_;
   FaultHook* fault_ = nullptr;
   /// Per-rank drain-visit counters. Incremented only by the rank's

@@ -67,7 +67,7 @@ void run_chaos_case(std::string_view profile_name, std::uint64_t seed,
   // Liveness valve: if a protocol ever wedged, the budget would flush and
   // the affected round would abort — the asserts below would then catch
   // any conservation fallout. A hang can never escape the harness.
-  cfg.retry.quiesce_poll_budget = 2'000'000;
+  cfg.quiesce_poll_budget = 2'000'000;
   rt::Runtime rt{cfg};
   rt::ObjectStore store{p};
 

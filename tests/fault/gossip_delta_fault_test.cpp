@@ -1,8 +1,8 @@
 /// \file gossip_delta_fault_test.cpp
 /// The delta wire plane under the fault plane: drops, duplicates, and
-/// delays on gossip traffic must never corrupt the protocol. The
-/// sender-side high-water mark only ever advances at the sender's own
-/// forwarding events, so no injected fault can desynchronize it; a
+/// delays on gossip traffic must never corrupt the protocol. A delta is
+/// the run the sender appended since its own previous forward, decided
+/// at the sender alone, so no injected fault can desynchronize it; a
 /// dropped delta merely leaves receiver knowledge partial (which gossip
 /// tolerates by design), a duplicated one re-merges idempotently, and a
 /// delayed one arrives late but intact. Every case must still produce an
@@ -87,7 +87,7 @@ void run_faulted_delta_case(double drop, double dup, double delay,
   rt::RuntimeConfig cfg;
   cfg.num_ranks = p;
   cfg.seed = seed;
-  cfg.retry.quiesce_poll_budget = 2'000'000;
+  cfg.quiesce_poll_budget = 2'000'000;
   rt::Runtime rt{cfg};
   auto const input = clustered(p, 4, 30, seed ^ 0x5eed);
   double const before = imbalance(input.rank_loads());
@@ -130,12 +130,12 @@ TEST(GossipDeltaFaultTest, SurvivesCombinedGossipChaos) {
 }
 
 TEST(GossipDeltaFaultTest, DuplicatesAloneCannotChangeTheOutcome) {
-  // Merging a payload twice is a set-union no-op and the high-water mark
-  // lives at the sender, so duplicates cannot corrupt knowledge — but in
-  // multi-round cascades they can still shift scheduler batch boundaries,
-  // reordering cross-sender arrivals and thereby the snapshots later
-  // forwards ship. Single-round gossip has no such timing channel: every
-  // payload is fixed at seed time and final knowledge is a pure set
+  // Merging a payload twice is a set-union no-op and a delta's contents
+  // are fixed at the sender, so duplicates cannot corrupt knowledge — but
+  // in multi-round cascades they can still shift scheduler batch
+  // boundaries, reordering cross-sender arrivals and thereby the snapshots
+  // later forwards ship. Single-round gossip has no such timing channel:
+  // every payload is fixed at seed time and final knowledge is a pure set
   // union, so a duplicate-only run must reproduce the duplicate-free
   // result exactly. Both runs install a plane (the baseline at zero
   // rates): installing one switches the transfer stage onto its

@@ -10,6 +10,7 @@
 #include "fault/fault_config.hpp"
 #include "fault/fault_plane.hpp"
 #include "lb/strategy/gossip_strategy.hpp"
+#include "runtime/delivery.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
 #include "support/rng.hpp"
@@ -102,7 +103,7 @@ TEST(ResilientMigrationTest, RetryExhaustionRollsBackWithoutWedging) {
   EXPECT_EQ(store.total_tasks(), 2u);
   auto const stats = rt.stats();
   auto const retry_budget =
-      static_cast<std::size_t>(rt.config().retry.max_attempts - 1);
+      static_cast<std::size_t>(rt::kMaxDeliveryAttempts - 1);
   EXPECT_EQ(stats.kind_retried[static_cast<std::size_t>(
                 rt::MessageKind::migration)],
             2u * retry_budget);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 namespace tlb::rt {
 namespace {
@@ -13,16 +15,27 @@ std::size_t tag_of(Envelope const& env) {
   return static_cast<std::size_t>(env.from);
 }
 
+/// One consumer visit: up to `max_items` (0 = all) tags in delivery order,
+/// appended to `out`; releases delayed messages due at `now` when
+/// `release`. Returns the number delivered.
+std::size_t visit(Mailbox& box, std::vector<std::size_t>& out,
+                  std::size_t max_items, bool release = false,
+                  std::uint64_t now = 0, std::size_t* released = nullptr) {
+  return box.consume_batch(max_items, now, release, released,
+                           [&out](Envelope& env) {
+                             out.push_back(tag_of(env));
+                           });
+}
+
 TEST(Mailbox, FifoOrder) {
   Mailbox box;
   for (int i = 0; i < 10; ++i) {
     box.push(make(i));
   }
-  std::vector<Envelope> out;
-  EXPECT_EQ(box.pop_batch(out, 0), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(tag_of(out[static_cast<std::size_t>(i)]),
-              static_cast<std::size_t>(i));
+  std::vector<std::size_t> out;
+  EXPECT_EQ(visit(box, out, 0), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(out[i], i);
   }
   EXPECT_TRUE(box.empty());
 }
@@ -32,60 +45,21 @@ TEST(Mailbox, BatchLimitRespected) {
   for (int i = 0; i < 10; ++i) {
     box.push(make(i));
   }
-  std::vector<Envelope> out;
-  EXPECT_EQ(box.pop_batch(out, 3), 3u);
+  std::vector<std::size_t> out;
+  EXPECT_EQ(visit(box, out, 3), 3u);
   EXPECT_EQ(box.size(), 7u);
-  EXPECT_EQ(tag_of(out[0]), 0u);
-  EXPECT_EQ(tag_of(out[2]), 2u);
-  // Appends, does not clear.
-  EXPECT_EQ(box.pop_batch(out, 3), 3u);
+  EXPECT_EQ(out[0], 0u);
+  EXPECT_EQ(out[2], 2u);
+  EXPECT_EQ(visit(box, out, 3), 3u);
   ASSERT_EQ(out.size(), 6u);
-  EXPECT_EQ(tag_of(out[3]), 3u);
+  EXPECT_EQ(out[3], 3u);
 }
 
 TEST(Mailbox, PopFromEmpty) {
   Mailbox box;
-  std::vector<Envelope> out;
-  EXPECT_EQ(box.pop_batch(out, 0), 0u);
+  std::vector<std::size_t> out;
+  EXPECT_EQ(visit(box, out, 0), 0u);
   EXPECT_TRUE(out.empty());
-}
-
-TEST(Mailbox, RandomPopIsPermutation) {
-  Mailbox box;
-  for (int i = 0; i < 32; ++i) {
-    box.push(make(i));
-  }
-  std::vector<Envelope> out;
-  Rng rng{3};
-  EXPECT_EQ(box.pop_batch_random(out, 0, rng), 32u);
-  std::vector<std::size_t> tags;
-  for (auto const& e : out) {
-    tags.push_back(tag_of(e));
-  }
-  auto sorted = tags;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(sorted[i], i);
-  }
-  EXPECT_NE(tags, sorted); // overwhelmingly likely reordered
-}
-
-TEST(Mailbox, RandomPopDeterministicPerSeed) {
-  auto run_once = [] {
-    Mailbox box;
-    for (int i = 0; i < 16; ++i) {
-      box.push(make(i));
-    }
-    std::vector<Envelope> out;
-    Rng rng{9};
-    box.pop_batch_random(out, 0, rng);
-    std::vector<std::size_t> tags;
-    for (auto const& e : out) {
-      tags.push_back(tag_of(e));
-    }
-    return tags;
-  };
-  EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(Mailbox, DelayedMessagesHeldUntilDue) {
@@ -93,15 +67,15 @@ TEST(Mailbox, DelayedMessagesHeldUntilDue) {
   box.push_delayed(make(7), 5);
   EXPECT_FALSE(box.empty());
   EXPECT_EQ(box.size(), 1u);
-  EXPECT_EQ(box.delayed_size(), 1u);
-  std::vector<Envelope> out;
-  EXPECT_EQ(box.pop_batch(out, 0), 0u) << "parked messages are not poppable";
-  EXPECT_EQ(box.release_due(4), 0u);
-  EXPECT_EQ(box.pop_batch(out, 0), 0u);
-  EXPECT_EQ(box.release_due(5), 1u);
-  EXPECT_EQ(box.delayed_size(), 0u);
-  ASSERT_EQ(box.pop_batch(out, 0), 1u);
-  EXPECT_EQ(tag_of(out[0]), 7u);
+  std::vector<std::size_t> out;
+  EXPECT_EQ(visit(box, out, 0), 0u) << "parked messages are not deliverable";
+  std::size_t released = 0;
+  EXPECT_EQ(visit(box, out, 0, true, 4, &released), 0u);
+  EXPECT_EQ(released, 0u);
+  EXPECT_EQ(box.size(), 1u);
+  ASSERT_EQ(visit(box, out, 0, true, 5, &released), 1u);
+  EXPECT_EQ(released, 1u);
+  EXPECT_EQ(out[0], 7u);
   EXPECT_TRUE(box.empty());
 }
 
@@ -110,12 +84,13 @@ TEST(Mailbox, ReleaseDueMovesOnlyRipeMessages) {
   for (int i = 0; i < 6; ++i) {
     box.push_delayed(make(i), static_cast<std::uint64_t>(i) * 2);
   }
-  EXPECT_EQ(box.release_due(6), 4u); // due 0, 2, 4, 6
-  EXPECT_EQ(box.delayed_size(), 2u);
-  std::vector<Envelope> out;
-  EXPECT_EQ(box.pop_batch(out, 0), 4u);
-  EXPECT_EQ(box.release_due(100), 2u);
-  EXPECT_EQ(box.pop_batch(out, 0), 2u);
+  std::vector<std::size_t> out;
+  std::size_t released = 0;
+  EXPECT_EQ(visit(box, out, 0, true, 6, &released), 4u); // due 0, 2, 4, 6
+  EXPECT_EQ(released, 4u);
+  EXPECT_EQ(box.size(), 2u);
+  EXPECT_EQ(visit(box, out, 0, true, 100, &released), 2u);
+  EXPECT_EQ(released, 2u);
   EXPECT_TRUE(box.empty());
 }
 
@@ -131,7 +106,6 @@ TEST(Mailbox, DrainAllTakesQueuedAndDelayedAlike) {
   EXPECT_EQ(box.drain_all(out, &delayed_removed), 5u);
   EXPECT_EQ(delayed_removed, 3u);
   EXPECT_TRUE(box.empty());
-  EXPECT_EQ(box.delayed_size(), 0u);
 }
 
 TEST(Mailbox, ConcurrentProducersAllArrive) {
@@ -151,13 +125,13 @@ TEST(Mailbox, ConcurrentProducersAllArrive) {
   }
   EXPECT_EQ(box.size(),
             static_cast<std::size_t>(producers * per_producer));
-  std::vector<Envelope> out;
-  box.pop_batch(out, 0);
+  std::vector<std::size_t> out;
+  visit(box, out, 0);
   std::vector<bool> seen(producers * per_producer, false);
-  for (auto const& e : out) {
-    ASSERT_LT(tag_of(e), seen.size());
-    EXPECT_FALSE(seen[tag_of(e)]);
-    seen[tag_of(e)] = true;
+  for (std::size_t const tag : out) {
+    ASSERT_LT(tag, seen.size());
+    EXPECT_FALSE(seen[tag]);
+    seen[tag] = true;
   }
 }
 

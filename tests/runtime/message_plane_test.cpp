@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,54 @@ void run_fifo_property(int threads) {
 TEST(MessagePlane, PerSenderFifoSequential) { run_fifo_property(1); }
 TEST(MessagePlane, PerSenderFifoCoalescedThreaded) { run_fifo_property(4); }
 
+/// The threaded driver runs handlers in place out of the mailbox stash.
+/// Small batches leave part of the stash pending at the end of a visit,
+/// so the next claim appends the producer backlog behind it instead of
+/// swapping, and one hot destination's stash grows long enough to be
+/// compacted. Every sender's numbered stream must still arrive in order.
+TEST(MessagePlane, ThreadedInPlaceDrainKeepsPerSenderFifo) {
+  constexpr RankId kRanks = 16;
+  constexpr int kStreams = 8;
+  constexpr int kPerStream = 64;
+  for (int batch = 1; batch <= 4; ++batch) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    // last_seen[dest][sender]: row dest is touched only by dest's
+    // handlers, which never run concurrently.
+    auto last_seen = std::make_shared<std::vector<std::vector<int>>>(
+        kRanks, std::vector<int>(kRanks, -1));
+    std::atomic<int> violations{0};
+    std::atomic<int> received{0};
+    Runtime rt{config(kRanks, 4, batch)};
+    for (int stream = 0; stream < kStreams; ++stream) {
+      // Every rank fans a burst at rank 0 and one at a neighbour, so rank
+      // 0's backlog keeps growing while it drains a few per visit.
+      rt.post_all([last_seen, &violations, &received,
+                   stream](RankContext& ctx) {
+        RankId const sender = ctx.rank();
+        RankId const neighbour = sender % (kRanks - 1) + 1; // never 0
+        for (RankId const dest : {RankId{0}, neighbour}) {
+          for (int i = 0; i < kPerStream; ++i) {
+            int const seq = stream * kPerStream + i;
+            ctx.send(dest, 8, [last_seen, &violations, &received, sender,
+                               seq](RankContext& at) {
+              int& last = (*last_seen)[static_cast<std::size_t>(at.rank())]
+                                      [static_cast<std::size_t>(sender)];
+              if (seq != last + 1) {
+                violations.fetch_add(1, std::memory_order_relaxed);
+              }
+              last = seq;
+              received.fetch_add(1, std::memory_order_relaxed);
+            });
+          }
+        }
+      });
+    }
+    EXPECT_TRUE(rt.run_until_quiescent());
+    EXPECT_EQ(violations.load(), 0);
+    EXPECT_EQ(received.load(), kRanks * kStreams * 2 * kPerStream);
+  }
+}
+
 /// Same property with all senders inside one quiescence epoch: a sender
 /// fans a whole numbered stream at one destination from a single handler,
 /// so the stream crosses the coalescing buffer as one batch.
@@ -121,12 +170,13 @@ std::size_t tag_of(Envelope const& env) {
 }
 
 /// Random interleaving of every producer entry point (push, push_batch,
-/// push_consumer) against pop_batch with random limits must match a plain
-/// deque executing the same schedule.
+/// push_consumer) against consume_batch visits with random limits must
+/// match a plain deque executing the same schedule.
 TEST(MessagePlane, SwapDrainMatchesModelFifo) {
   Mailbox box;
   std::deque<int> model;
-  std::vector<Envelope> out;
+  std::vector<std::size_t> out;
+  auto const record = [&out](Envelope& env) { out.push_back(tag_of(env)); };
   Rng rng{0x5eedull};
   int next_tag = 0;
   for (int step = 0; step < 2000; ++step) {
@@ -156,14 +206,14 @@ TEST(MessagePlane, SwapDrainMatchesModelFifo) {
     default: { // drain with a random batch limit
       auto const limit = rng.uniform_below(8);
       out.clear();
-      auto const popped = box.pop_batch(out, limit);
+      auto const popped = box.consume_batch(limit, 0, false, nullptr, record);
       auto const expect =
           limit == 0 ? model.size()
                      : std::min<std::size_t>(limit, model.size());
       ASSERT_EQ(popped, expect);
-      for (Envelope const& env : out) {
+      for (std::size_t const tag : out) {
         ASSERT_FALSE(model.empty());
-        EXPECT_EQ(tag_of(env), static_cast<std::size_t>(model.front()));
+        EXPECT_EQ(tag, static_cast<std::size_t>(model.front()));
         model.pop_front();
       }
       break;
@@ -172,9 +222,9 @@ TEST(MessagePlane, SwapDrainMatchesModelFifo) {
     ASSERT_EQ(box.size(), model.size());
   }
   out.clear();
-  box.pop_batch(out, 0);
-  for (Envelope const& env : out) {
-    EXPECT_EQ(tag_of(env), static_cast<std::size_t>(model.front()));
+  box.consume_batch(0, 0, false, nullptr, record);
+  for (std::size_t const tag : out) {
+    EXPECT_EQ(tag, static_cast<std::size_t>(model.front()));
     model.pop_front();
   }
   EXPECT_TRUE(model.empty());

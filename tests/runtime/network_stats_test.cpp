@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "obs/registry.hpp"
+#include "runtime/fault_hook.hpp"
 #include "runtime/runtime.hpp"
 
 namespace tlb::rt {
@@ -19,7 +24,7 @@ TEST(NetworkStats, PerCategoryCountersSumToAggregate) {
   stats.record_send(false, 1, MessageKind::termination);
   stats.record_send(false, 3); // untagged -> other
 
-  auto const snap = stats.snapshot();
+  NetworkStats const& snap = stats;
   EXPECT_EQ(snap.messages, 6u);
   EXPECT_EQ(snap.bytes, 171u);
   EXPECT_EQ(snap.local_messages, 1u);
@@ -48,9 +53,54 @@ TEST(NetworkStats, MailboxDepthIsHighWatermark) {
   stats.record_mailbox_depth(3);
   stats.record_mailbox_depth(9);
   stats.record_mailbox_depth(5);
-  EXPECT_EQ(stats.snapshot().max_mailbox_depth, 9u);
-  stats.reset();
-  EXPECT_EQ(stats.snapshot().max_mailbox_depth, 0u);
+  EXPECT_EQ(stats.max_mailbox_depth, 9u);
+  stats = NetworkStats{};
+  EXPECT_EQ(stats.max_mailbox_depth, 0u);
+}
+
+/// A block whose every field holds a distinct value above `base`.
+NetworkStats distinct_block(std::size_t base) {
+  NetworkStats s;
+  s.messages = base + 1;
+  s.bytes = base + 2;
+  s.local_messages = base + 3;
+  for (std::size_t k = 0; k < num_message_kinds; ++k) {
+    s.kind_messages[k] = base + 10 + k;
+    s.kind_bytes[k] = base + 20 + k;
+    s.kind_dropped[k] = base + 30 + k;
+    s.kind_delayed[k] = base + 40 + k;
+    s.kind_duplicated[k] = base + 50 + k;
+    s.kind_retried[k] = base + 60 + k;
+  }
+  s.max_mailbox_depth = base + 7;
+  s.coalesced_flushes = base + 8;
+  s.coalesced_messages = base + 9;
+  return s;
+}
+
+TEST(NetworkStats, FoldAddsEveryFieldAndKeepsTheLargerDepth) {
+  NetworkStats folded = distinct_block(100);
+  folded.fold(distinct_block(1000));
+  EXPECT_EQ(folded.messages, 101u + 1001u);
+  EXPECT_EQ(folded.bytes, 102u + 1002u);
+  EXPECT_EQ(folded.local_messages, 103u + 1003u);
+  for (std::size_t k = 0; k < num_message_kinds; ++k) {
+    SCOPED_TRACE("kind " + std::to_string(k));
+    EXPECT_EQ(folded.kind_messages[k], 1120u + 2 * k);
+    EXPECT_EQ(folded.kind_bytes[k], 1140u + 2 * k);
+    EXPECT_EQ(folded.kind_dropped[k], 1160u + 2 * k);
+    EXPECT_EQ(folded.kind_delayed[k], 1180u + 2 * k);
+    EXPECT_EQ(folded.kind_duplicated[k], 1200u + 2 * k);
+    EXPECT_EQ(folded.kind_retried[k], 1220u + 2 * k);
+  }
+  EXPECT_EQ(folded.max_mailbox_depth, 1007u);
+  EXPECT_EQ(folded.coalesced_flushes, 108u + 1008u);
+  EXPECT_EQ(folded.coalesced_messages, 109u + 1009u);
+
+  // The deeper watermark wins whichever side it is on.
+  NetworkStats deeper = distinct_block(1000);
+  deeper.fold(distinct_block(100));
+  EXPECT_EQ(deeper.max_mailbox_depth, 1007u);
 }
 
 TEST(NetworkStats, MessageKindNamesAreStable) {
@@ -95,7 +145,7 @@ TEST(NetworkStats, FaultCountersArePerKindAndResettable) {
   stats.record_retry(MessageKind::migration);
   stats.record_retry(MessageKind::transfer);
 
-  auto snap = stats.snapshot();
+  NetworkStats snap = stats;
   EXPECT_EQ(snap.kind_dropped[static_cast<std::size_t>(MessageKind::gossip)],
             2u);
   EXPECT_EQ(
@@ -113,14 +163,79 @@ TEST(NetworkStats, FaultCountersArePerKindAndResettable) {
   EXPECT_EQ(snap.kind_dropped[static_cast<std::size_t>(MessageKind::other)],
             0u);
 
-  stats.reset();
-  snap = stats.snapshot();
+  stats = NetworkStats{};
+  snap = stats;
   for (std::size_t k = 0; k < num_message_kinds; ++k) {
     EXPECT_EQ(snap.kind_dropped[k], 0u);
     EXPECT_EQ(snap.kind_delayed[k], 0u);
     EXPECT_EQ(snap.kind_duplicated[k], 0u);
     EXPECT_EQ(snap.kind_retried[k], 0u);
   }
+}
+
+/// Of every four send decisions, in whatever order the threads take them:
+/// one drop, one duplicate, one delay of two destination polls, and one
+/// plain delivery.
+class EveryFourthFault final : public FaultHook {
+public:
+  [[nodiscard]] FaultDecision on_send(RankId, RankId, MessageKind) override {
+    switch (next_.fetch_add(1, std::memory_order_relaxed) % 4) {
+    case 0:
+      return {FaultAction::drop, 0};
+    case 1:
+      return {FaultAction::duplicate, 0};
+    case 2:
+      return {FaultAction::delay, 2};
+    default:
+      return {};
+    }
+  }
+  [[nodiscard]] DrainGate on_drain(RankId, std::uint64_t) override {
+    return DrainGate::open;
+  }
+
+private:
+  std::atomic<std::uint64_t> next_{0};
+};
+
+std::size_t total(std::array<std::size_t, num_message_kinds> const& a) {
+  std::size_t sum = 0;
+  for (std::size_t const v : a) {
+    sum += v;
+  }
+  return sum;
+}
+
+TEST(Runtime, ThreadedRunFoldsFaultCountersThatBalance) {
+  // Workers record their handlers' sends and the fault decisions on them
+  // into their own blocks; the runtime must fold every block at run end,
+  // or the handler count below cannot balance.
+  RuntimeConfig config;
+  config.num_ranks = 16;
+  config.num_threads = 4;
+  Runtime runtime{config};
+  EveryFourthFault hook;
+  runtime.set_fault_hook(&hook);
+  std::atomic<std::size_t> handlers{0};
+  runtime.post_all([&handlers](RankContext& ctx) {
+    ++handlers;
+    for (int i = 0; i < 8; ++i) {
+      ctx.send((ctx.rank() + i) % ctx.num_ranks(), 4,
+               [&handlers](RankContext&) { ++handlers; });
+    }
+  });
+  EXPECT_TRUE(runtime.run_until_quiescent());
+  runtime.set_fault_hook(nullptr);
+
+  auto const stats = runtime.stats();
+  auto const dropped = total(stats.kind_dropped);
+  auto const duplicated = total(stats.kind_duplicated);
+  // 16 driver posts decided on the driver thread, the rest on workers.
+  EXPECT_GT(dropped, 4u);
+  EXPECT_GT(duplicated, 4u);
+  EXPECT_GT(total(stats.kind_delayed), 4u);
+  EXPECT_GT(stats.messages, 16u);
+  EXPECT_EQ(handlers.load(), stats.messages - dropped + duplicated);
 }
 
 TEST(Runtime, PostDelayedDeliversAndCountsAsInFlight) {

@@ -10,11 +10,10 @@
 namespace tlb::lb {
 namespace {
 
-rt::RuntimeConfig config(RankId ranks, bool random_delivery = false) {
+rt::RuntimeConfig config(RankId ranks) {
   rt::RuntimeConfig cfg;
   cfg.num_ranks = ranks;
   cfg.seed = 321;
-  cfg.random_delivery = random_delivery;
   return cfg;
 }
 
@@ -162,22 +161,6 @@ TEST(Nacks, WorseThanPaperDesignOnConcentratedLoad) {
   auto const without = run_with(false);
   EXPECT_LE(without.achieved_imbalance,
             with_nacks.achieved_imbalance + 1e-9);
-}
-
-TEST(RandomDeliveryStrategy, GossipLbValidUnderReordering) {
-  // The asynchronous protocol must tolerate arbitrary delivery order.
-  auto const input = clustered(48, 3, 40, 13);
-  double const before = imbalance(input.rank_loads());
-  rt::Runtime rt{config(48, /*random_delivery=*/true)};
-  GossipStrategy strategy{GossipStrategy::Flavor::tempered};
-  auto const result = strategy.balance(rt, input, fast_params());
-  EXPECT_LT(result.achieved_imbalance, 0.5 * before);
-  // Migration list consistency.
-  std::set<TaskId> seen;
-  for (auto const& m : result.migrations) {
-    EXPECT_TRUE(seen.insert(m.task).second);
-    EXPECT_NE(m.from, m.to);
-  }
 }
 
 } // namespace

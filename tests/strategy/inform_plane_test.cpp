@@ -106,7 +106,9 @@ TEST_P(InformArena, EpochsFitTheArenaOnBothDrivers) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, InformArena, ::testing::Values(2, 17, 256),
                          [](auto const& param_info) {
-                           return "P" + std::to_string(param_info.param);
+                           std::string name = "P";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(DrawPeers, DistinctRanksOtherThanSelf) {
