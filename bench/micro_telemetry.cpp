@@ -1,9 +1,9 @@
 /// \file micro_telemetry.cpp
 /// M5 — google-benchmark microbenchmarks of the telemetry layer itself:
 /// the cost of a dormant guard (enabled() == false, the hot-path case the
-/// <2% overhead budget rides on), of live counter/histogram updates, of
-/// recording a span, and of a full instrumented LB invocation with
-/// telemetry on versus off.
+/// <2% overhead budget rides on), of recording a span, of a full
+/// instrumented LB invocation with telemetry on versus off, and of
+/// exporting a populated metrics registry.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 
 #include "lbaf/experiment.hpp"
 #include "lbaf/workload.hpp"
-#include "obs/metric.hpp"
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
@@ -45,40 +44,6 @@ void BM_LiveSpan(benchmark::State& state) {
   obs::set_enabled(false);
 }
 BENCHMARK(BM_LiveSpan);
-
-void BM_CounterInc(benchmark::State& state) {
-  obs::Counter counter;
-  for (auto _ : state) {
-    counter.inc();
-  }
-  benchmark::DoNotOptimize(counter.value());
-}
-BENCHMARK(BM_CounterInc);
-
-void BM_HistogramObserve(benchmark::State& state) {
-  obs::Histogram hist{{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0}};
-  double x = 0.0;
-  for (auto _ : state) {
-    hist.observe(x);
-    x += 0.7;
-    if (x > 100.0) {
-      x = 0.0;
-    }
-  }
-  benchmark::DoNotOptimize(hist.count());
-}
-BENCHMARK(BM_HistogramObserve);
-
-void BM_RegistryLookup(benchmark::State& state) {
-  obs::Registry registry;
-  for (auto _ : state) {
-    auto& c = registry.counter("bench.lookup",
-                               {{"category", "gossip"}});
-    c.inc();
-  }
-  benchmark::DoNotOptimize(registry.size());
-}
-BENCHMARK(BM_RegistryLookup);
 
 /// End-to-end: one sequential-emulation LB experiment with telemetry off
 /// vs. on (spans + LB report collection). The ratio of these two is the
@@ -125,10 +90,9 @@ BENCHMARK(BM_ExperimentTelemetryOn)->Unit(benchmark::kMillisecond);
 void BM_RegistryWriteJson(benchmark::State& state) {
   obs::Registry registry;
   for (int i = 0; i < 64; ++i) {
-    registry
-        .counter("bench.metric." + std::to_string(i),
-                 {{"category", i % 2 == 0 ? "gossip" : "transfer"}})
-        .inc(static_cast<std::uint64_t>(i));
+    registry.set_counter("bench.metric." + std::to_string(i),
+                         static_cast<std::uint64_t>(i),
+                         {{"category", i % 2 == 0 ? "gossip" : "transfer"}});
   }
   for (auto _ : state) {
     std::ostringstream os;

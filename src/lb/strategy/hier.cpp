@@ -40,14 +40,12 @@ struct Shared {
   RankId p = 0;
   RankId group_size = 0;
   RankId num_groups = 0;
-  double avg_rank_load = 0.0; ///< filled at the root before level 2
 
   // --- leader state (indexed by group) ---
   struct GroupState {
     std::vector<PlacedTask> tasks; ///< gathered from members
     RankId pending_members = 0;
     LoadType load = 0.0;           ///< after within-group LPT
-    double target = 0.0;           ///< fair share for this group
     std::vector<LoadType> member_loads;
   };
   std::vector<GroupState> groups;
@@ -58,7 +56,6 @@ struct Shared {
     std::vector<LoadType> group_loads;
     std::vector<double> group_targets;
     std::vector<std::vector<PlacedTask>> exports; ///< per source group
-    LoadType total = 0.0;
   } root;
 
   // --- results: final placements, appended by leaders ---
@@ -166,12 +163,10 @@ StrategyResult HierStrategy::balance(rt::Runtime& rt,
     }
   }
   double const avg_rank = p > 0 ? total / static_cast<double>(p) : 0.0;
-  sh->avg_rank_load = avg_rank;
   for (RankId g = 0; g < sh->num_groups; ++g) {
     sh->root.group_targets[static_cast<std::size_t>(g)] =
         avg_rank * static_cast<double>(sh->group_hi(g) - sh->group_lo(g));
   }
-  sh->root.total = total;
 
   // ---- Level 1 (messages): members gather task lists at their leader;
   // the last arrival triggers the leader's LPT and its report upward. ----

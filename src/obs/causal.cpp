@@ -37,69 +37,6 @@ CausalLog& CausalLog::instance() {
   return log;
 }
 
-CausalLog::ThreadBuffer& CausalLog::local_buffer() {
-  // One buffer per (thread, log-lifetime); buffers are never removed, so
-  // the cached pointer stays valid across clear().
-  thread_local ThreadBuffer* cached = nullptr;
-  if (cached == nullptr) {
-    auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->events.reserve(1024);
-    SpinLockGuard lock{mutex_};
-    buffers_.push_back(std::move(buffer));
-    cached = buffers_.back().get();
-  }
-  return *cached;
-}
-
-void CausalLog::record(CausalEvent const& event) {
-  ThreadBuffer& buffer = local_buffer();
-  SpinLockGuard lock{buffer.mutex};
-  if (buffer.events.size() >= max_events_per_thread) {
-    ++buffer.dropped;
-    return;
-  }
-  buffer.events.push_back(event);
-}
-
-std::vector<CausalEvent> CausalLog::snapshot() const {
-  SpinLockGuard lock{mutex_};
-  std::vector<CausalEvent> out;
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    out.insert(out.end(), buffer->events.begin(), buffer->events.end());
-  }
-  return out;
-}
-
-void CausalLog::clear() {
-  SpinLockGuard lock{mutex_};
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    buffer->events.clear();
-    buffer->dropped = 0;
-  }
-}
-
-std::size_t CausalLog::event_count() const {
-  SpinLockGuard lock{mutex_};
-  std::size_t n = 0;
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    n += buffer->events.size();
-  }
-  return n;
-}
-
-std::uint64_t CausalLog::dropped() const {
-  SpinLockGuard lock{mutex_};
-  std::uint64_t n = 0;
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    n += buffer->dropped;
-  }
-  return n;
-}
-
 void write_causal_event(JsonWriter& w, CausalEvent const& event) {
   w.begin_object();
   w.kv("id", static_cast<unsigned long long>(event.stamp.id));
@@ -123,15 +60,9 @@ void CausalLog::write_json(std::ostream& os) const {
   w.kv("step", static_cast<unsigned long long>(step()));
   w.kv("dropped", static_cast<unsigned long long>(dropped()));
   w.key("events").begin_array();
-  {
-    SpinLockGuard lock{mutex_};
-    for (auto const& buffer : buffers_) {
-      SpinLockGuard buffer_lock{buffer->mutex};
-      for (CausalEvent const& e : buffer->events) {
-        write_causal_event(w, e);
-      }
-    }
-  }
+  for_each([&w](std::size_t, CausalEvent const& e) {
+    write_causal_event(w, e);
+  });
   w.end_array();
   w.end_object();
 }

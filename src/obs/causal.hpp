@@ -7,8 +7,8 @@
 /// handler performed the send, so arbitrary fan-out chains — gossip
 /// forwards, transfer proposals, migration payloads — stay linked from
 /// root post to final delivery. Each delivery appends a CausalEvent to
-/// the process-wide CausalLog (per-thread bounded buffers,
-/// Tracer-style), and compute_critical_path() reconstructs the deepest
+/// the process-wide CausalLog (a bounded per-thread log, like the
+/// Tracer's), and compute_critical_path() reconstructs the deepest
 /// chain ending at quiescence with per-rank / per-kind wall-time
 /// attribution — the "why was this step slow" reducer that tlb_report and
 /// the flight recorder build on.
@@ -30,11 +30,11 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/telemetry.hpp"
+#include "obs/thread_log.hpp"
 #include "support/spinlock.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/types.hpp"
@@ -93,19 +93,16 @@ struct CausalEvent {
   std::int64_t dur_us = 0; ///< handler execution time
 };
 
-/// Process-wide delivery log: per-thread bounded ring buffers with the
-/// same overflow-drops-newest discipline as the Tracer. Under the
-/// sequential driver there is a single buffer and the event order is the
-/// (deterministic) delivery order.
-class CausalLog {
+/// Process-wide delivery log: a bounded per-thread log (obs/thread_log.hpp,
+/// the Tracer's storage too; 128Ki events per thread, drop-newest). Under
+/// the sequential driver there is a single buffer and the event order is
+/// the (deterministic) delivery order. The capacity is larger than the
+/// Tracer's: a multi-phase 64-rank demo delivers tens of thousands of
+/// messages per phase and the critical path is only as good as the log's
+/// coverage.
+class CausalLog : public ThreadLog<CausalEvent, 1u << 17> {
 public:
   [[nodiscard]] static CausalLog& instance();
-
-  CausalLog() = default;
-  CausalLog(CausalLog const&) = delete;
-  CausalLog& operator=(CausalLog const&) = delete;
-
-  void record(CausalEvent const& event) TLB_EXCLUDES(mutex_);
 
   /// Current LB step, stamped onto root messages. Bumped by the LB
   /// manager at each invocation (driver-side, between quiescent points).
@@ -116,35 +113,12 @@ public:
     step_.store(step, std::memory_order_relaxed);
   }
 
-  /// All recorded events, buffers concatenated in registration order.
-  /// Call at quiescent points (same caveat as Tracer::write_chrome_trace).
-  [[nodiscard]] std::vector<CausalEvent> snapshot() const
-      TLB_EXCLUDES(mutex_);
-
   /// Write the log as a JSON document:
   ///   {"step": N, "dropped": D, "events": [{...}, ...]}.
-  void write_json(std::ostream& os) const TLB_EXCLUDES(mutex_);
-
-  void clear() TLB_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t event_count() const TLB_EXCLUDES(mutex_);
-  [[nodiscard]] std::uint64_t dropped() const TLB_EXCLUDES(mutex_);
-
-  /// Ring capacity per thread. Larger than the Tracer's: a multi-phase
-  /// 64-rank demo delivers tens of thousands of messages per phase and
-  /// the critical path is only as good as the log's coverage.
-  static constexpr std::size_t max_events_per_thread = 1u << 17;
+  /// Call at quiescent points (see ThreadLog::for_each).
+  void write_json(std::ostream& os) const;
 
 private:
-  struct ThreadBuffer {
-    SpinLock mutex;
-    std::vector<CausalEvent> events TLB_GUARDED_BY(mutex);
-    std::uint64_t dropped TLB_GUARDED_BY(mutex) = 0;
-  };
-
-  [[nodiscard]] ThreadBuffer& local_buffer() TLB_EXCLUDES(mutex_);
-
-  mutable SpinLock mutex_; ///< guards buffers_ (registration + drain)
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_ TLB_GUARDED_BY(mutex_);
   std::atomic<std::uint32_t> step_{0};
 };
 

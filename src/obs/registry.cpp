@@ -8,138 +8,48 @@
 
 namespace tlb::obs {
 
-namespace {
-
-void canonicalize(Labels& labels) {
-  std::sort(labels.begin(), labels.end(),
+void Registry::publish(MetricSample sample) {
+  std::sort(sample.labels.begin(), sample.labels.end(),
             [](Label const& a, Label const& b) { return a.key < b.key; });
-}
-
-bool same_identity(std::string_view name, Labels const& labels,
-                   std::string_view other_name, Labels const& other_labels) {
-  return name == other_name && labels == other_labels;
-}
-
-/// `net.messages` -> `net_messages` (Prometheus name charset).
-std::string prometheus_name(std::string_view name) {
-  std::string out{name};
-  for (char& c : out) {
-    bool const ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) {
-      c = '_';
+  SpinLockGuard lock{lock_};
+  for (MetricSample& stored : samples_) {
+    if (stored.name == sample.name && stored.labels == sample.labels) {
+      TLB_EXPECTS(stored.kind == sample.kind);
+      stored = std::move(sample);
+      return;
     }
   }
-  return out;
+  samples_.push_back(std::move(sample));
 }
 
-void prometheus_labels(std::ostream& os, Labels const& labels) {
-  if (labels.empty()) {
-    return;
-  }
-  os << '{';
-  bool first = true;
-  for (Label const& l : labels) {
-    if (!first) {
-      os << ',';
-    }
-    first = false;
-    os << prometheus_name(l.key) << "=\"" << json_escape(l.value) << '"';
-  }
-  os << '}';
+void Registry::set_counter(std::string_view name, std::uint64_t value,
+                           Labels labels) {
+  MetricSample sample;
+  sample.name = std::string{name};
+  sample.labels = std::move(labels);
+  sample.kind = MetricKind::counter;
+  sample.counter_value = value;
+  publish(std::move(sample));
 }
 
-} // namespace
-
-Registry::Entry& Registry::find_or_create(std::string_view name,
-                                          Labels&& labels, MetricKind kind,
-                                          std::vector<double>&& bounds) {
-  canonicalize(labels);
-  SpinLockGuard lock{mutex_};
-  for (auto const& entry : entries_) {
-    if (same_identity(name, labels, entry->name, entry->labels)) {
-      TLB_EXPECTS(entry->kind == kind);
-      return *entry;
-    }
-  }
-  // The metric object must be constructed while the mutex is still held:
-  // two threads racing to register the same identity must both observe
-  // the same fully-built instance, never a null slot they then both fill.
-  auto entry = std::make_unique<Entry>();
-  entry->name = std::string{name};
-  entry->labels = std::move(labels);
-  entry->kind = kind;
-  switch (kind) {
-  case MetricKind::counter:
-    entry->counter = std::make_unique<Counter>();
-    break;
-  case MetricKind::gauge:
-    entry->gauge = std::make_unique<Gauge>();
-    break;
-  case MetricKind::histogram:
-    entry->histogram = std::make_unique<Histogram>(std::move(bounds));
-    break;
-  }
-  entries_.push_back(std::move(entry));
-  return *entries_.back();
-}
-
-Counter& Registry::counter(std::string_view name, Labels labels) {
-  return *find_or_create(name, std::move(labels), MetricKind::counter).counter;
-}
-
-Gauge& Registry::gauge(std::string_view name, Labels labels) {
-  return *find_or_create(name, std::move(labels), MetricKind::gauge).gauge;
-}
-
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> bounds, Labels labels) {
-  return *find_or_create(name, std::move(labels), MetricKind::histogram,
-                         std::move(bounds))
-              .histogram;
+void Registry::set_gauge(std::string_view name, std::int64_t value,
+                         Labels labels) {
+  MetricSample sample;
+  sample.name = std::string{name};
+  sample.labels = std::move(labels);
+  sample.kind = MetricKind::gauge;
+  sample.gauge_value = value;
+  publish(std::move(sample));
 }
 
 std::vector<MetricSample> Registry::snapshot() const {
-  SpinLockGuard lock{mutex_};
-  std::vector<MetricSample> out;
-  out.reserve(entries_.size());
-  for (auto const& entry : entries_) {
-    MetricSample sample;
-    sample.name = entry->name;
-    sample.labels = entry->labels;
-    sample.kind = entry->kind;
-    switch (entry->kind) {
-    case MetricKind::counter:
-      sample.counter_value = entry->counter->value();
-      break;
-    case MetricKind::gauge:
-      sample.gauge_value = entry->gauge->value();
-      break;
-    case MetricKind::histogram: {
-      Histogram const& h = *entry->histogram;
-      sample.bounds = h.bounds();
-      sample.bucket_counts.reserve(h.num_buckets());
-      for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-        sample.bucket_counts.push_back(h.bucket_count(i));
-      }
-      sample.count = h.count();
-      sample.sum = h.sum();
-      break;
-    }
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
-std::size_t Registry::size() const {
-  SpinLockGuard lock{mutex_};
-  return entries_.size();
+  SpinLockGuard lock{lock_};
+  return samples_;
 }
 
 void Registry::clear() {
-  SpinLockGuard lock{mutex_};
-  entries_.clear();
+  SpinLockGuard lock{lock_};
+  samples_.clear();
 }
 
 void sort_samples(std::vector<MetricSample>& samples) {
@@ -169,30 +79,12 @@ void write_metric_samples_json(JsonWriter& w,
       w.kv(l.key, l.value);
     }
     w.end_object();
-    switch (s.kind) {
-    case MetricKind::counter:
+    if (s.kind == MetricKind::counter) {
       w.kv("kind", "counter");
       w.kv("value", static_cast<unsigned long long>(s.counter_value));
-      break;
-    case MetricKind::gauge:
+    } else {
       w.kv("kind", "gauge");
       w.kv("value", static_cast<long long>(s.gauge_value));
-      break;
-    case MetricKind::histogram:
-      w.kv("kind", "histogram");
-      w.kv("count", static_cast<unsigned long long>(s.count));
-      w.kv("sum", s.sum);
-      w.key("bounds").begin_array();
-      for (double const b : s.bounds) {
-        w.value(b);
-      }
-      w.end_array();
-      w.key("buckets").begin_array();
-      for (std::uint64_t const c : s.bucket_counts) {
-        w.value(static_cast<unsigned long long>(c));
-      }
-      w.end_array();
-      break;
     }
     w.end_object();
   }
@@ -207,60 +99,6 @@ void Registry::write_json(std::ostream& os) const {
   write_metric_samples_json(w, samples);
   w.end_array();
   w.end_object();
-}
-
-void Registry::write_prometheus(std::ostream& os) const {
-  auto samples = snapshot();
-  sort_samples(samples);
-  // TYPE lines are emitted once per family (first occurrence of a name).
-  std::vector<std::string> typed;
-  for (MetricSample const& s : samples) {
-    std::string const name = prometheus_name(s.name);
-    if (std::find(typed.begin(), typed.end(), name) == typed.end()) {
-      typed.push_back(name);
-      char const* kind = s.kind == MetricKind::counter ? "counter"
-                         : s.kind == MetricKind::gauge ? "gauge"
-                                                       : "histogram";
-      os << "# TYPE " << name << ' ' << kind << '\n';
-    }
-    switch (s.kind) {
-    case MetricKind::counter:
-      os << name;
-      prometheus_labels(os, s.labels);
-      os << ' ' << s.counter_value << '\n';
-      break;
-    case MetricKind::gauge:
-      os << name;
-      prometheus_labels(os, s.labels);
-      os << ' ' << s.gauge_value << '\n';
-      break;
-    case MetricKind::histogram: {
-      // Cumulative le-buckets, then the +Inf bucket, sum, and count.
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < s.bounds.size(); ++i) {
-        cumulative += s.bucket_counts[i];
-        Labels with_le = s.labels;
-        with_le.push_back(Label{"le", json_number(s.bounds[i])});
-        os << name << "_bucket";
-        prometheus_labels(os, with_le);
-        os << ' ' << cumulative << '\n';
-      }
-      cumulative += s.bucket_counts.back();
-      Labels inf = s.labels;
-      inf.push_back(Label{"le", "+Inf"});
-      os << name << "_bucket";
-      prometheus_labels(os, inf);
-      os << ' ' << cumulative << '\n';
-      os << name << "_sum";
-      prometheus_labels(os, s.labels);
-      os << ' ' << json_number(s.sum) << '\n';
-      os << name << "_count";
-      prometheus_labels(os, s.labels);
-      os << ' ' << s.count << '\n';
-      break;
-    }
-    }
-  }
 }
 
 Registry& registry() {

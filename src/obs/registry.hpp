@@ -2,26 +2,27 @@
 
 /// \file registry.hpp
 /// The metrics registry: named metric families with labels (per-rank,
-/// per-strategy, per-category, ...), snapshotable at quiescent points and
-/// exportable as JSON or Prometheus text format.
+/// per-strategy, per-category, ...) holding values published at quiescent
+/// points, exportable as JSON.
 ///
-/// Registration (counter()/gauge()/histogram()) takes a mutex and returns
-/// a stable reference; the returned metric's operations are lock-free
-/// relaxed atomics. Hot paths must capture the reference once up front —
-/// looking a metric up per event would serialize on the registry mutex.
+/// Nothing counts into the registry. A producer keeps its own plain
+/// counter block while it runs (the runtime's NetworkStats) and, once the
+/// run has quiesced, publishes each value with set_counter()/set_gauge(),
+/// which replace whatever was stored under that identity. Publishing is
+/// rare and never on a hot path, so one spin lock guards the whole store;
+/// it is there because a flight-record dump may read the store from
+/// whichever thread tripped it.
 ///
 /// Identity is (name, labels): the same name with different label sets
-/// yields distinct time series (a "family"), and re-requesting an
-/// existing identity returns the same instance. Requesting an existing
-/// identity as a different metric kind is a contract violation.
+/// yields distinct time series (a "family"). Publishing an existing
+/// identity as the other metric kind is a contract violation.
 
+#include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metric.hpp"
 #include "support/spinlock.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -37,22 +38,17 @@ struct Label {
 
 using Labels = std::vector<Label>;
 
-enum class MetricKind : std::uint8_t { counter, gauge, histogram };
+enum class MetricKind : std::uint8_t { counter, gauge };
 
 class JsonWriter;
 
-/// Point-in-time copy of one metric, as read by Registry::snapshot().
+/// One published metric, as stored and as read by Registry::snapshot().
 struct MetricSample {
   std::string name;
   Labels labels;
   MetricKind kind = MetricKind::counter;
   std::uint64_t counter_value = 0; ///< kind == counter
   std::int64_t gauge_value = 0;    ///< kind == gauge
-  // kind == histogram:
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> bucket_counts; ///< bounds.size() + 1 entries
-  std::uint64_t count = 0;
-  double sum = 0.0;
 };
 
 class Registry {
@@ -61,67 +57,38 @@ public:
   Registry(Registry const&) = delete;
   Registry& operator=(Registry const&) = delete;
 
-  /// Find-or-create. Labels are canonicalized (sorted by key), so the
-  /// same set in any order names the same metric.
-  [[nodiscard]] Counter& counter(std::string_view name, Labels labels = {});
-  [[nodiscard]] Gauge& gauge(std::string_view name, Labels labels = {});
-  /// `bounds` are the ascending bucket upper bounds; ignored (the
-  /// existing instance wins) when the identity is already registered.
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::vector<double> bounds,
-                                     Labels labels = {});
+  /// Store `value` under (name, labels), replacing an earlier value of
+  /// that identity. Labels are canonicalized (sorted by key), so the same
+  /// set in any order names the same metric.
+  void set_counter(std::string_view name, std::uint64_t value,
+                   Labels labels = {}) TLB_EXCLUDES(lock_);
+  void set_gauge(std::string_view name, std::int64_t value,
+                 Labels labels = {}) TLB_EXCLUDES(lock_);
 
-  /// Point-in-time copy of every registered metric, in registration
-  /// order. Call at quiescent points; concurrent updates are not torn
-  /// (each field is an atomic) but may be mid-flight.
+  /// Copy of every stored metric, in first-publication order.
   [[nodiscard]] std::vector<MetricSample> snapshot() const
-      TLB_EXCLUDES(mutex_);
+      TLB_EXCLUDES(lock_);
 
   /// Export the snapshot as a JSON document:
   ///   {"metrics": [{"name": ..., "labels": {...}, "kind": ...,
   ///                 "value": ...}, ...]}
   /// Families and label sets are sorted (see sort_samples), so the output
-  /// is byte-stable across runs regardless of registration order.
+  /// is byte-stable across runs regardless of publication order.
   void write_json(std::ostream& os) const;
 
-  /// Export in the Prometheus text exposition format, in the same sorted
-  /// order as write_json. Dots in metric names become underscores
-  /// (`net.messages` -> `net_messages`).
-  void write_prometheus(std::ostream& os) const;
-
-  [[nodiscard]] std::size_t size() const TLB_EXCLUDES(mutex_);
-
-  /// Drop every registered metric (tests and between-run resets; any
-  /// previously returned references are invalidated).
-  void clear() TLB_EXCLUDES(mutex_);
+  /// Drop every stored metric (tests and between-run resets).
+  void clear() TLB_EXCLUDES(lock_);
 
 private:
-  struct Entry {
-    std::string name;
-    Labels labels;
-    MetricKind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
+  void publish(MetricSample sample) TLB_EXCLUDES(lock_);
 
-  /// Constructs the metric object under the registry mutex so that two
-  /// threads racing to register the same identity both get the one
-  /// instance (`bounds` is consumed only for a new histogram entry).
-  Entry& find_or_create(std::string_view name, Labels&& labels,
-                        MetricKind kind, std::vector<double>&& bounds = {})
-      TLB_EXCLUDES(mutex_);
-
-  /// Guards registration and snapshotting; the returned metric objects
-  /// themselves are lock-free atomics and are never guarded.
-  mutable SpinLock mutex_;
-  std::vector<std::unique_ptr<Entry>> entries_
-      TLB_GUARDED_BY(mutex_); ///< registration order
+  mutable SpinLock lock_;
+  std::vector<MetricSample> samples_ TLB_GUARDED_BY(lock_);
 };
 
 /// Sort samples into the canonical export order — by name, then by the
 /// (already key-canonicalized) label vector — so exports and golden
-/// files diff stably no matter which code path registered first.
+/// files diff stably no matter which code path published first.
 void sort_samples(std::vector<MetricSample>& samples);
 
 /// Serialize `samples` as a JSON array of metric objects through an
@@ -130,8 +97,9 @@ void sort_samples(std::vector<MetricSample>& samples);
 void write_metric_samples_json(JsonWriter& w,
                                std::vector<MetricSample> const& samples);
 
-/// The process-wide default registry (what the runtime fold-in and the
-/// examples use). Individual components may still own private registries.
+/// The process-wide default registry (what the runtime publishes to in
+/// the examples and before a flight-record dump). Individual components
+/// may still own private registries.
 [[nodiscard]] Registry& registry();
 
 } // namespace tlb::obs

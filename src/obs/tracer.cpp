@@ -28,60 +28,6 @@ std::int64_t Tracer::now_us() const {
   return (steady_ns() - epoch_ns_) / 1000;
 }
 
-Tracer::ThreadBuffer& Tracer::local_buffer() {
-  // One buffer per (thread, tracer-lifetime); buffers are never removed,
-  // so the cached pointer stays valid across clear().
-  thread_local ThreadBuffer* cached = nullptr;
-  if (cached == nullptr) {
-    auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->events.reserve(1024);
-    SpinLockGuard lock{mutex_};
-    buffer->tid = static_cast<std::uint32_t>(buffers_.size());
-    buffers_.push_back(std::move(buffer));
-    cached = buffers_.back().get();
-  }
-  return *cached;
-}
-
-void Tracer::record(TraceEvent const& event) {
-  ThreadBuffer& buffer = local_buffer();
-  SpinLockGuard lock{buffer.mutex};
-  if (buffer.events.size() >= max_events_per_thread) {
-    ++buffer.dropped;
-    return;
-  }
-  buffer.events.push_back(event);
-}
-
-void Tracer::clear() {
-  SpinLockGuard lock{mutex_};
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    buffer->events.clear();
-    buffer->dropped = 0;
-  }
-}
-
-std::size_t Tracer::event_count() const {
-  SpinLockGuard lock{mutex_};
-  std::size_t n = 0;
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    n += buffer->events.size();
-  }
-  return n;
-}
-
-std::uint64_t Tracer::dropped() const {
-  SpinLockGuard lock{mutex_};
-  std::uint64_t n = 0;
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    n += buffer->dropped;
-  }
-  return n;
-}
-
 void Tracer::write_chrome_trace(std::ostream& os) const {
   // Compact output: trace files get large and Perfetto does not care.
   JsonWriter w{os, 0};
@@ -99,35 +45,29 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   w.end_object();
   w.end_object();
 
-  SpinLockGuard lock{mutex_};
-  std::uint64_t total_dropped = 0;
-  for (auto const& buffer : buffers_) {
-    SpinLockGuard buffer_lock{buffer->mutex};
-    total_dropped += buffer->dropped;
-    for (TraceEvent const& e : buffer->events) {
-      w.begin_object();
-      w.kv("ph", e.instant ? "i" : "X");
-      w.kv("name", e.name);
-      w.kv("cat", e.cat);
-      w.kv("ts", static_cast<long long>(e.ts_us));
-      if (!e.instant) {
-        w.kv("dur", static_cast<long long>(e.dur_us));
-      } else {
-        w.kv("s", "t"); // instant scope: thread
-      }
-      w.kv("pid", 1);
-      w.kv("tid", static_cast<long long>(buffer->tid));
-      if (e.has_arg) {
-        w.key("args").begin_object();
-        w.kv(e.arg_name, e.arg_value);
-        w.end_object();
-      }
+  for_each([&w](std::size_t tid, TraceEvent const& e) {
+    w.begin_object();
+    w.kv("ph", e.instant ? "i" : "X");
+    w.kv("name", e.name);
+    w.kv("cat", e.cat);
+    w.kv("ts", static_cast<long long>(e.ts_us));
+    if (!e.instant) {
+      w.kv("dur", static_cast<long long>(e.dur_us));
+    } else {
+      w.kv("s", "t"); // instant scope: thread
+    }
+    w.kv("pid", 1);
+    w.kv("tid", static_cast<long long>(tid));
+    if (e.has_arg) {
+      w.key("args").begin_object();
+      w.kv(e.arg_name, e.arg_value);
       w.end_object();
     }
-  }
+    w.end_object();
+  });
   w.end_array();
   w.kv("displayTimeUnit", "ms");
-  w.kv("droppedEvents", static_cast<unsigned long long>(total_dropped));
+  w.kv("droppedEvents", static_cast<unsigned long long>(dropped()));
   w.end_object();
 }
 

@@ -8,11 +8,12 @@
 ///     its scope, with an optional numeric argument;
 ///   - instants: point events ("ph":"i").
 ///
-/// Recording goes to per-thread ring buffers (bounded; overflow drops the
-/// newest event and counts it), drained at quiescent points by
-/// write_chrome_trace(). The per-buffer mutex is uncontended on the hot
-/// path — only the owning thread and a quiescent-point drain ever take
-/// it — so a span costs two clock reads plus one uncontended lock.
+/// Recording goes to a bounded per-thread log (obs/thread_log.hpp; 64Ki
+/// events per thread, overflow drops the newest event and counts it),
+/// written out at quiescent points by write_chrome_trace(). The
+/// per-buffer lock is uncontended on the hot path — only the owning
+/// thread and a quiescent-point reader ever take it — so a span costs two
+/// clock reads plus one uncontended lock.
 ///
 /// Event names and categories must be string literals (or otherwise
 /// outlive the tracer): events store the pointers, not copies.
@@ -25,12 +26,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <vector>
 
 #include "obs/telemetry.hpp"
-#include "support/spinlock.hpp"
-#include "support/thread_annotations.hpp"
+#include "obs/thread_log.hpp"
 
 namespace tlb::obs {
 
@@ -45,50 +43,22 @@ struct TraceEvent {
   double arg_value = 0.0;
 };
 
-class Tracer {
+class Tracer : public ThreadLog<TraceEvent, 1u << 16> {
 public:
   /// The process-wide tracer used by the macros.
   [[nodiscard]] static Tracer& instance();
 
   Tracer();
-  Tracer(Tracer const&) = delete;
-  Tracer& operator=(Tracer const&) = delete;
 
   /// Microseconds since the tracer epoch (steady clock).
   [[nodiscard]] std::int64_t now_us() const;
 
-  void record(TraceEvent const& event) TLB_EXCLUDES(mutex_);
-
   /// Write everything recorded so far as a Chrome trace JSON document
-  /// (non-destructive). Call at quiescent points: concurrent recording
-  /// into a buffer being drained serializes on that buffer's mutex, but
-  /// the resulting document then reflects a mid-flight cut.
-  void write_chrome_trace(std::ostream& os) const TLB_EXCLUDES(mutex_);
-
-  /// Drop all recorded events (dropped-counts included).
-  void clear() TLB_EXCLUDES(mutex_);
-
-  [[nodiscard]] std::size_t event_count() const TLB_EXCLUDES(mutex_);
-  /// Events lost to ring-buffer overflow since the last clear().
-  [[nodiscard]] std::uint64_t dropped() const TLB_EXCLUDES(mutex_);
-
-  /// Ring capacity per thread (events). Exposed for tests.
-  static constexpr std::size_t max_events_per_thread = 1u << 16;
+  /// (non-destructive), one `tid` per recording thread. Call at quiescent
+  /// points (see ThreadLog::for_each).
+  void write_chrome_trace(std::ostream& os) const;
 
 private:
-  struct ThreadBuffer {
-    SpinLock mutex;
-    std::vector<TraceEvent> events TLB_GUARDED_BY(mutex);
-    std::uint64_t dropped TLB_GUARDED_BY(mutex) = 0;
-    /// Written once before the buffer is published into buffers_ (under
-    /// the tracer mutex_), immutable afterwards — no guard needed.
-    std::uint32_t tid = 0;
-  };
-
-  [[nodiscard]] ThreadBuffer& local_buffer() TLB_EXCLUDES(mutex_);
-
-  mutable SpinLock mutex_; ///< guards buffers_ (registration + drain)
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_ TLB_GUARDED_BY(mutex_);
   std::int64_t epoch_ns_ = 0;
 };
 

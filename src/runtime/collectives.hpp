@@ -181,11 +181,4 @@ inline std::vector<LoadStat> allreduce_loads(Runtime& rt,
                    sizeof(LoadStat), complete);
 }
 
-/// Barrier: an allreduce of nothing; completes when every rank reached it.
-inline void barrier(Runtime& rt) {
-  std::vector<int> const zeros(static_cast<std::size_t>(rt.num_ranks()), 0);
-  (void)allreduce(rt, zeros, [](int a, int b) { return a + b; },
-                  /*bytes_per_item=*/0);
-}
-
 } // namespace tlb::rt

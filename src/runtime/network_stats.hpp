@@ -3,7 +3,7 @@
 /// \file network_stats.hpp
 /// Aggregate traffic counters maintained by the runtime. Used by the LB
 /// cost model (gossip traffic, migration volume), the micro-benches, and
-/// the telemetry registry fold-in (Runtime::publish_metrics).
+/// the `net.*` metrics the runtime publishes (Runtime::publish_metrics).
 
 #include <array>
 #include <cstddef>

@@ -423,7 +423,9 @@ bool Runtime::run_until_quiescent(std::size_t max_polls) {
   if (aborted) {
     if (obs::enabled()) {
       // Liveness valve tripped: capture the black box before the flush
-      // below destroys the evidence of what was still in flight.
+      // below destroys the evidence of what was still in flight. Every
+      // worker's counters are folded by now, so the dump carries them.
+      publish_metrics(obs::registry());
       (void)obs::dump_flight_record("quiesce_budget_exhausted");
     }
     // Budget expired with work still in flight. No handler is executing
@@ -559,25 +561,25 @@ Runtime::WorkerState& Runtime::worker_state(std::size_t index) {
 
 void Runtime::publish_metrics(obs::Registry& registry) const {
   NetworkStats const& s = stats_;
-  registry.counter("net.messages").set(s.messages);
-  registry.counter("net.bytes").set(s.bytes);
-  registry.counter("net.local_messages").set(s.local_messages);
+  registry.set_counter("net.messages", s.messages);
+  registry.set_counter("net.bytes", s.bytes);
+  registry.set_counter("net.local_messages", s.local_messages);
   for (std::size_t k = 0; k < num_message_kinds; ++k) {
     obs::Labels const labels{
         {"category", message_kind_name(static_cast<MessageKind>(k))}};
-    registry.counter("net.messages_by_category", labels)
-        .set(s.kind_messages[k]);
-    registry.counter("net.bytes_by_category", labels).set(s.kind_bytes[k]);
-    registry.counter("net.dropped_by_category", labels).set(s.kind_dropped[k]);
-    registry.counter("net.delayed_by_category", labels).set(s.kind_delayed[k]);
-    registry.counter("net.duplicated_by_category", labels)
-        .set(s.kind_duplicated[k]);
-    registry.counter("net.retried_by_category", labels).set(s.kind_retried[k]);
+    registry.set_counter("net.messages_by_category", s.kind_messages[k],
+                         labels);
+    registry.set_counter("net.bytes_by_category", s.kind_bytes[k], labels);
+    registry.set_counter("net.dropped_by_category", s.kind_dropped[k], labels);
+    registry.set_counter("net.delayed_by_category", s.kind_delayed[k], labels);
+    registry.set_counter("net.duplicated_by_category", s.kind_duplicated[k],
+                         labels);
+    registry.set_counter("net.retried_by_category", s.kind_retried[k], labels);
   }
-  registry.gauge("net.max_mailbox_depth")
-      .set(static_cast<std::int64_t>(s.max_mailbox_depth));
-  registry.counter("net.coalesced_flushes").set(s.coalesced_flushes);
-  registry.counter("net.coalesced_messages").set(s.coalesced_messages);
+  registry.set_gauge("net.max_mailbox_depth",
+                     static_cast<std::int64_t>(s.max_mailbox_depth));
+  registry.set_counter("net.coalesced_flushes", s.coalesced_flushes);
+  registry.set_counter("net.coalesced_messages", s.coalesced_messages);
 }
 
 } // namespace tlb::rt

@@ -207,10 +207,10 @@ public:
   [[nodiscard]] NetworkStats stats() const { return stats_; }
   void reset_stats() { stats_ = NetworkStats{}; }
 
-  /// Fold the current network counters into a telemetry registry as
-  /// `net.*` metrics (per-category message/byte counters, coalescing
-  /// flush counters, and the max-mailbox-depth gauge). Call at quiescent
-  /// points.
+  /// Publish the traffic counters as of the last quiescent point into a
+  /// telemetry registry as `net.*` metrics (per-category traffic and
+  /// fault-plane counters, coalescing flush counters, and the
+  /// max-mailbox-depth gauge), replacing any earlier publication.
   void publish_metrics(obs::Registry& registry) const;
 
   /// Deterministic per-rank RNG stream (derived from config seed).

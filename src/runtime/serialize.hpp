@@ -8,16 +8,15 @@
 /// survive a real serialize/ship/deserialize boundary — what running over
 /// MPI would require.
 ///
-/// Format: little-endian host representation of trivially copyable types,
-/// length-prefixed containers. Not portable across heterogeneous
-/// architectures (neither are most HPC wire formats); bounds-checked on
-/// the read side.
+/// Format: little-endian host representation of trivially copyable types
+/// and LEB128 varints; a protocol that ships a sequence writes its own
+/// count first. Not portable across heterogeneous architectures (neither
+/// are most HPC wire formats); bounds-checked on the read side.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -56,26 +55,6 @@ public:
     requires std::is_trivially_copyable_v<T>
   void pack(T const& value) {
     std::memcpy(grow(sizeof(T)), &value, sizeof(T));
-  }
-
-  /// Serialize a vector of trivially copyable elements (u64 length
-  /// prefix + raw elements).
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  void pack(std::vector<T> const& values) {
-    pack(static_cast<std::uint64_t>(values.size()));
-    auto* const out = grow(values.size() * sizeof(T));
-    if (!values.empty()) {
-      std::memcpy(out, values.data(), values.size() * sizeof(T));
-    }
-  }
-
-  void pack(std::string const& value) {
-    pack(static_cast<std::uint64_t>(value.size()));
-    auto* const out = grow(value.size());
-    if (!value.empty()) {
-      std::memcpy(out, value.data(), value.size());
-    }
   }
 
   /// LEB128 unsigned varint: 7 payload bits per byte, high bit = "more".
@@ -122,30 +101,6 @@ public:
     T value;
     std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
     offset_ += sizeof(T);
-    return value;
-  }
-
-  template <typename T>
-    requires std::is_trivially_copyable_v<T>
-  [[nodiscard]] std::vector<T> unpack_vector() {
-    auto const n = unpack<std::uint64_t>();
-    // Divide, don't multiply: a hostile count would wrap n * sizeof(T).
-    TLB_EXPECTS(n <= remaining() / sizeof(T));
-    std::vector<T> values(static_cast<std::size_t>(n));
-    if (n > 0) {
-      std::memcpy(values.data(), bytes_.data() + offset_,
-                  static_cast<std::size_t>(n) * sizeof(T));
-    }
-    offset_ += static_cast<std::size_t>(n) * sizeof(T);
-    return values;
-  }
-
-  [[nodiscard]] std::string unpack_string() {
-    auto const n = unpack<std::uint64_t>();
-    TLB_EXPECTS(n <= remaining()); // offset_ + n could wrap
-    std::string value(reinterpret_cast<char const*>(bytes_.data() + offset_),
-                      static_cast<std::size_t>(n));
-    offset_ += static_cast<std::size_t>(n);
     return value;
   }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "support/assert.hpp"
-
 namespace tlb {
 
 double LoadSummary::imbalance() const {
@@ -79,53 +77,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, counts_(bins, 0) {
-  TLB_EXPECTS(hi > lo);
-  TLB_EXPECTS(bins > 0);
-}
-
-void Histogram::add(double x) {
-  double const frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(
-      frac * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  TLB_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  TLB_EXPECTS(bin < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double percentile(std::span<double const> data, double q) {
-  TLB_EXPECTS(q >= 0.0 && q <= 100.0);
-  if (data.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted(data.begin(), data.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) {
-    return sorted.front();
-  }
-  double const rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-  auto const lo = static_cast<std::size_t>(rank);
-  auto const hi = std::min(lo + 1, sorted.size() - 1);
-  double const frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
 
 } // namespace tlb

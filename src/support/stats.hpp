@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "support/types.hpp"
 
@@ -55,29 +54,5 @@ private:
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin. Used for reporting task-load distributions.
-class Histogram {
-public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Percentile of a data set (linear interpolation between closest ranks).
-/// q in [0, 100]. The input is copied and sorted.
-[[nodiscard]] double percentile(std::span<double const> data, double q);
 
 } // namespace tlb

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -311,6 +312,23 @@ TEST(CriticalPath, CyclicParentLinksTerminate) {
   };
   auto const path = compute_critical_path(events);
   EXPECT_LE(path.chain.size(), 2u);
+}
+
+// The causal log keeps twice the Tracer's events per thread.
+TEST(CausalLog, OverflowDropsNewestAndCounts) {
+  ScopedTelemetry scoped;
+  static_assert(CausalLog::max_events_per_thread == std::size_t{1} << 17);
+  constexpr std::size_t cap = CausalLog::max_events_per_thread;
+  std::thread{[] {
+    for (std::uint64_t id = 1; id <= cap + 3; ++id) {
+      CausalLog::instance().record(make_event(id, 0, 0, 0, "gossip", 1));
+    }
+  }}.join();
+  EXPECT_EQ(CausalLog::instance().dropped(), 3u);
+  auto const events = CausalLog::instance().snapshot();
+  ASSERT_EQ(events.size(), cap);
+  EXPECT_EQ(events.front().stamp.id, 1u);
+  EXPECT_EQ(events.back().stamp.id, cap);
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "mini_json.hpp"
 #include "obs/causal.hpp"
 #include "obs/phase_timeline.hpp"
+#include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/runtime.hpp"
 #include "support/check.hpp"
@@ -26,6 +27,7 @@ public:
     set_enabled(true);
     PhaseTimeline::instance().clear();
     CausalLog::instance().clear();
+    registry().clear();
     set_flight_record_path(path_);
     rearm_flight_recorder();
     std::remove(path_.c_str());
@@ -36,6 +38,7 @@ public:
     rearm_flight_recorder();
     PhaseTimeline::instance().clear();
     CausalLog::instance().clear();
+    registry().clear();
     set_enabled(false);
   }
   [[nodiscard]] std::string const& path() const { return path_; }
@@ -133,6 +136,33 @@ TEST(FlightRecorder, QuiesceBudgetExhaustionDumps) {
   EXPECT_EQ(doc.at("timeline").array()[0].at("phase").num(), 9.0);
   // The causal tail holds the relay's final deliveries.
   EXPECT_FALSE(doc.at("causal_tail").array().empty());
+  // The runtime publishes its folded counters before the dump.
+  auto const net_messages = [&doc]() -> double {
+    for (auto const& m : doc.at("metrics").array()) {
+      if (m.at("name").str() == "net.messages") {
+        return m.at("value").num();
+      }
+    }
+    return -1.0;
+  }();
+  EXPECT_GT(rt.stats().messages, 0u);
+  EXPECT_EQ(net_messages, static_cast<double>(rt.stats().messages));
+}
+
+TEST(FlightRecorder, BudgetExhaustionWithTelemetryOffPublishesNothing) {
+  // An untraced run neither dumps nor touches the process-wide registry.
+  ScopedRecorder scoped{"fr_budget_off.json"};
+  set_enabled(false);
+
+  rt::RuntimeConfig config;
+  config.num_ranks = 4;
+  rt::Runtime rt{config};
+  rt.post(0, [](rt::RankContext& ctx) { relay(ctx); });
+  EXPECT_FALSE(rt.run_until_quiescent(50));
+
+  EXPECT_GT(rt.stats().messages, 0u);
+  EXPECT_FALSE(flight_record_dumped());
+  EXPECT_TRUE(registry().snapshot().empty());
 }
 
 // ---------------------------------------------------------------------

@@ -148,6 +148,56 @@ TEST(Tracer, ConcurrentRecordingKeepsEveryEvent) {
   EXPECT_EQ(tids.size(), static_cast<std::size_t>(num_threads));
 }
 
+TEST(Tracer, ChromeTraceTidIsTheRecordingThreadsBufferIndex) {
+  // Buffers are never removed, so each new recording thread registers the
+  // next index, and the trace names it by that index.
+  ScopedTelemetry telemetry;
+  std::thread{[] { TLB_INSTANT("tid", "first"); }}.join();
+  std::thread{[] {
+    TLB_INSTANT("tid", "second");
+    TLB_INSTANT("tid", "second");
+  }}.join();
+
+  std::ostringstream os;
+  Tracer::instance().write_chrome_trace(os);
+  auto const doc = test::parse_json(os.str());
+  std::vector<double> first;
+  std::vector<double> second;
+  for (auto const& e : doc.at("traceEvents").array()) {
+    if (e.at("ph").str() != "i") {
+      continue;
+    }
+    (e.at("name").str() == "first" ? first : second)
+        .push_back(e.at("tid").num());
+  }
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0], first[0] + 1.0);
+  EXPECT_EQ(second[1], second[0]);
+}
+
+TEST(Tracer, ChromeTraceReportsDroppedEvents) {
+  ScopedTelemetry telemetry;
+  static_assert(Tracer::max_events_per_thread == std::size_t{1} << 16);
+  constexpr std::size_t cap = Tracer::max_events_per_thread;
+  std::thread{[] {
+    for (std::size_t i = 0; i < cap + 5; ++i) {
+      TLB_INSTANT("test", "spam");
+    }
+  }}.join();
+  EXPECT_EQ(Tracer::instance().event_count(), cap);
+  EXPECT_EQ(Tracer::instance().dropped(), 5u);
+
+  std::ostringstream os;
+  Tracer::instance().write_chrome_trace(os);
+  auto const doc = test::parse_json(os.str());
+  EXPECT_EQ(doc.at("droppedEvents").num(), 5.0);
+  // Metadata record + the kept events.
+  EXPECT_EQ(doc.at("traceEvents").array().size(), cap + 1);
+}
+
+// The causal log keeps its deliveries in the same ThreadLog, so this
+// covers its overflow rule too.
 TEST(Tracer, OverflowDropsNewestAndCounts) {
   ScopedTelemetry telemetry;
   auto const cap = Tracer::max_events_per_thread;

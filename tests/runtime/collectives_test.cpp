@@ -99,13 +99,6 @@ TEST(Allreduce, ThreadedMatchesSequential) {
   EXPECT_DOUBLE_EQ(a[0], a[23]);
 }
 
-TEST(Barrier, Completes) {
-  Runtime rt{config(9, 2)};
-  barrier(rt);
-  barrier(rt);
-  SUCCEED();
-}
-
 TEST(LoadStat, CombineIsAssociativeOnSamples) {
   LoadStat const a = LoadStat::of(1.0);
   LoadStat const b = LoadStat::of(5.0);

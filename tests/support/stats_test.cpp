@@ -109,40 +109,5 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(15.0);  // clamped to bin 9
-  h.add(5.0);   // bin 5
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(Percentile, KnownQuantiles) {
-  std::vector<double> const data{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 25.0), 2.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> const data{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 50.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 75.0), 7.5);
-}
-
-TEST(Percentile, EmptyAndSingle) {
-  EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
-  std::vector<double> const one{7.0};
-  EXPECT_DOUBLE_EQ(percentile(one, 99.0), 7.0);
-}
-
 } // namespace
 } // namespace tlb

@@ -18,6 +18,7 @@
 #include "lb/strategy/lb_manager.hpp"
 #include "obs/causal.hpp"
 #include "obs/phase_timeline.hpp"
+#include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
@@ -66,6 +67,11 @@ TEST(Loaders, MalformedDocumentThrows) {
                std::runtime_error);
   EXPECT_THROW(load_timeline(obs::parse_json("{}"), in),
                std::runtime_error);
+  // Metric rows carry a "value"; a histogram row has none.
+  EXPECT_THROW(load_metrics(obs::parse_json(R"({"metrics": [
+    {"name": "lat", "labels": {}, "kind": "histogram", "count": 2}]})"),
+                            in),
+               std::runtime_error);
 }
 
 TEST(Loaders, TimelineAndMetricsPopulateSections) {
@@ -88,12 +94,35 @@ TEST(Loaders, TimelineAndMetricsPopulateSections) {
   load_metrics(obs::parse_json(R"({"metrics": [
     {"name": "net.messages", "labels": {"category": "gossip"},
      "kind": "counter", "value": 9},
-    {"name": "lat", "labels": {}, "kind": "histogram", "count": 2,
-     "sum": 3.5, "bounds": [], "buckets": [2]}]})"),
+    {"name": "net.max_mailbox_depth", "labels": {}, "kind": "gauge",
+     "value": 2}]})"),
                in);
   ASSERT_EQ(in.metrics.size(), 2u);
   EXPECT_EQ(in.metrics[0].labels, "{category=\"gossip\"}");
+  EXPECT_EQ(in.metrics[1].kind, "gauge");
   EXPECT_EQ(in.metrics[1].value, 2);
+}
+
+TEST(Loaders, RegistryExportLoadsBack) {
+  // The registry's {"metrics": [...]} document is what load_metrics reads.
+  obs::Registry registry;
+  registry.set_counter("net.messages", 9, {{"category", "gossip"}});
+  registry.set_gauge("net.max_mailbox_depth", 3);
+  std::ostringstream os;
+  registry.write_json(os);
+
+  ReportInput in;
+  load_metrics(obs::parse_json(os.str()), in);
+  ASSERT_TRUE(in.have_metrics);
+  ASSERT_EQ(in.metrics.size(), 2u);
+  EXPECT_EQ(in.metrics[0].name, "net.max_mailbox_depth");
+  EXPECT_EQ(in.metrics[0].kind, "gauge");
+  EXPECT_EQ(in.metrics[0].labels, "");
+  EXPECT_EQ(in.metrics[0].value, 3);
+  EXPECT_EQ(in.metrics[1].name, "net.messages");
+  EXPECT_EQ(in.metrics[1].kind, "counter");
+  EXPECT_EQ(in.metrics[1].labels, "{category=\"gossip\"}");
+  EXPECT_EQ(in.metrics[1].value, 9);
 }
 
 // ---------------------------------------------------------------------

@@ -122,12 +122,7 @@ void parse_metric_rows(JsonValue const& metrics, ReportInput& in) {
     if (!row.labels.empty()) {
       row.labels += "}";
     }
-    if (row.kind == "histogram") {
-      row.value = static_cast<std::int64_t>(get_u64(m, "count"));
-      row.sum = get_num(m, "sum");
-    } else {
-      row.value = get_i64(m, "value");
-    }
+    row.value = get_i64(m, "value");
     in.metrics.push_back(std::move(row));
   }
 }
@@ -324,20 +319,11 @@ void render_lb_reports(std::ostream& os, ReportInput const& in) {
   os << "\n";
 }
 
-void render_metrics(std::ostream& os, ReportInput const& in,
-                    ReportOptions const& opts) {
+void render_metrics(std::ostream& os, ReportInput const& in) {
   rule(os, "Metrics (" + std::to_string(in.metrics.size()) + " samples)");
   for (MetricRow const& m : in.metrics) {
-    os << "    " << pad(m.name + m.labels, -40) << "  " << m.kind << " ";
-    if (m.kind == "histogram") {
-      os << "count=" << m.value;
-      if (!opts.stable) {
-        os << " sum=" << fmt(m.sum, 1);
-      }
-    } else {
-      os << m.value;
-    }
-    os << "\n";
+    os << "    " << pad(m.name + m.labels, -40) << "  " << m.kind << " "
+       << m.value << "\n";
   }
   os << "\n";
 }
@@ -413,7 +399,7 @@ std::size_t render_report(std::ostream& os, ReportInput const& in,
     render_lb_reports(os, in);
   }
   if (in.have_metrics) {
-    render_metrics(os, in, opts);
+    render_metrics(os, in);
   }
   return chain_len;
 }

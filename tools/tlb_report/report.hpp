@@ -42,9 +42,8 @@ private:
 struct MetricRow {
   std::string name;
   std::string labels; ///< rendered as {k="v",...}, empty when unlabeled
-  std::string kind;   ///< "counter" | "gauge" | "histogram"
-  std::int64_t value = 0;      ///< counter/gauge value, histogram count
-  double sum = 0.0;            ///< histogram only
+  std::string kind;   ///< "counter" | "gauge"
+  std::int64_t value = 0;
 };
 
 /// One LB invocation summary from an lb_report JSON export.
